@@ -24,7 +24,8 @@ import json
 from dataclasses import dataclass
 
 from .complexes import Complex, FaceNotPresentError, NotPureError, as_face
-from .linalg import CoefficientField, Matrix, kernel_basis, rank
+from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
+                     rank)
 
 _chain_cache: dict = {}
 _rank_cache: dict = {}
@@ -156,7 +157,9 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
             values.append(f[degree + 1] - r_out - r_in)
         bv = BettiVector(tuple(values), field)
         chi_f = sum(n if k % 2 else -n for k, n in enumerate(f))
-        assert bv.chi_reduced() == chi_f, "Euler characteristic mismatch"
+        if bv.chi_reduced() != chi_f:
+            raise InvariantError(f"Euler characteristic mismatch: "
+                                 f"{bv.chi_reduced()} != {chi_f}")
     return _betti_cache.setdefault(key, bv)
 
 

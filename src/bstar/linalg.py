@@ -2,23 +2,24 @@
 
 Matrices carry integer or Fraction entries and are interpreted through a
 CoefficientField at elimination time, so the same matrix can be ranked over
-Q and over any F_p.  There is no floating point anywhere: rationals use
-arbitrary-precision Fractions, prime fields use Python integers reduced
-mod p.
+Q and over any F_p.  There is no floating point anywhere.
 
-Elimination is deterministic (pivot = first non-zero entry in column order)
-and runs through one of two code paths chosen by entry density: matrices
-with fewer than 25% non-zero entries use per-row dictionaries, the rest use
-dense row lists.  Both paths compute the (unique) reduced row echelon form,
-so ranks and kernel bases agree exactly between them.
+One sparse elimination routine serves rank, rref and kernel_basis.  It
+works on rows stored as {column: int}.  Over Q each row is scaled to
+integers and reduced fraction-free (row = b*row - a*pivot), and every new
+row is divided by the gcd of its entries, which keeps the integers small
+(Dumas, Saunders and Villard, JSC 2001).  Over F_p the entries are ints
+mod p and each pivot row is scaled to a leading 1.  rank stops after
+forward elimination; rref and kernel_basis also back-substitute, and only
+their output turns into Fractions.  The reduced row echelon form is
+unique, so results do not depend on the order rows are eliminated in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-SPARSE_DENSITY_THRESHOLD = 0.25
 
 
 class ShapeError(ValueError):
@@ -71,9 +72,8 @@ class CoefficientField:
     def label(self) -> str:
         return "Q" if self.kind == "rationals" else f"F{self.p}"
 
-    # -- element arithmetic (elements are Fractions, or ints in [0, p)) ----
-
     def convert(self, x):
+        """An int or Fraction as a Fraction over Q, an int in [0, p) over F_p."""
         if self.kind == "rationals":
             return x if isinstance(x, Fraction) else Fraction(x)
         p = self.p
@@ -84,32 +84,6 @@ class CoefficientField:
                     f"denominator of {x} vanishes in F_{p}")
             return x.numerator * pow(den, -1, p) % p
         return x % p
-
-    def zero(self):
-        return Fraction(0) if self.kind == "rationals" else 0
-
-    def one(self):
-        return Fraction(1) if self.kind == "rationals" else 1
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def add(self, a, b):
-        return a + b if self.kind == "rationals" else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.kind == "rationals" else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "rationals" else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.kind == "rationals" else (-a) % self.p
-
-    def inv(self, a):
-        if self.kind == "rationals":
-            return Fraction(1) / a
-        return pow(a, -1, self.p)
 
     def __repr__(self) -> str:
         return f"CoefficientField({self.label})"
@@ -164,18 +138,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @property
-    def density(self) -> float:
-        cells = self.nrows * self.ncols
-        return len(self.entries) / cells if cells else 0.0
-
-    @property
-    def representation(self) -> str:
-        """Elimination path this matrix will take ("dense" or "sparse")."""
-        if self.nrows * self.ncols == 0:
-            return "dense"
-        return "sparse" if self.density < SPARSE_DENSITY_THRESHOLD else "dense"
 
     @property
     def is_zero(self) -> bool:
@@ -247,137 +209,164 @@ class Matrix:
                 f"{len(self.entries)} non-zero)")
 
 
-def _rref_dense(m: Matrix, field: CoefficientField):
-    rows = [[field.convert(v) for v in row] for row in m.to_rows()]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        if pr == nrows:
-            break
-        piv = None
-        for r in range(pr, nrows):
-            if not field.is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = field.inv(rows[pr][col])
-        rows[pr] = [field.mul(inv, x) for x in rows[pr]]
-        prow = rows[pr]
-        for r in range(nrows):
-            if r != pr:
-                f = rows[r][col]
-                if not field.is_zero(f):
-                    rows[r] = [field.sub(a, field.mul(f, b))
-                               for a, b in zip(rows[r], prow)]
-        pivots.append(col)
-        pr += 1
-    reduced = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if not field.is_zero(v):
-                reduced[(i, j)] = v
-    return pivots, Matrix(nrows, ncols, reduced)
+class InvariantError(AssertionError):
+    """An exact result failed a consistency check (also under python -O)."""
 
 
-def _rref_sparse(m: Matrix, field: CoefficientField):
-    rows: list = [dict() for _ in range(m.nrows)]
-    for (i, j), v in m.entries.items():
-        cv = field.convert(v)
-        if not field.is_zero(cv):
-            rows[i][j] = cv
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        if pr == nrows:
-            break
-        piv = None
-        for r in range(pr, nrows):
-            if col in rows[r]:
-                piv = r
+def _int_rows(entries: dict, field: CoefficientField) -> dict:
+    """The non-zero rows of a matrix as {row: {col: int}}.
+
+    Over Q each row is multiplied by the lcm of its denominators, which
+    keeps its span; over F_p the entries become residues in [1, p).
+    """
+    rows: dict = {}
+    for (i, j), v in entries.items():
+        row = rows.get(i)
+        if row is None:
+            rows[i] = row = {}
+        row[j] = v
+    p = field.p
+    for i, row in rows.items():
+        if p is None:
+            if any(type(v) is not int for v in row.values()):
+                den = lcm(*(Fraction(v).denominator for v in row.values()))
+                rows[i] = {j: int(v * den) for j, v in row.items()}
+        else:
+            rows[i] = {j: r for j, v in row.items()
+                       if (r := v % p if type(v) is int else field.convert(v))}
+    return {i: row for i, row in rows.items() if row}
+
+
+def _eliminate(row: dict, prow: dict, col: int, p: int | None) -> dict:
+    """b*row - a*prow with a, b chosen to clear column col.
+
+    Over Q (p None) this is fraction-free and the result is divided by its
+    content.  Over F_p prow has a leading 1, so b = 1.
+    """
+    a, b = row[col], prow[col]
+    if p is None:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+    out = {j: b * v for j, v in row.items()} if b != 1 else dict(row)
+    for j, v in prow.items():
+        nv = out.get(j, 0) - a * v
+        if p is not None:
+            nv %= p
+        if nv:
+            out[j] = nv
+        else:
+            del out[j]
+    if p is None and (g := gcd(*out.values())) > 1:
+        out = {j: v // g for j, v in out.items()}
+    return out
+
+
+def _echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
+    """Echelon rows of m keyed by pivot column: {pivot: {col: int}}.
+
+    Each row's smallest column is its pivot; over F_p the pivot entry is 1.
+    With reduced=True every row is also zero in the other pivot columns,
+    so dividing each row by its pivot entry gives the RREF.
+    """
+    p = field.p
+    pivots: dict = {}
+    for row in _int_rows(m.entries, field).values():
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                if p is not None and row[lead] != 1:
+                    inv = pow(row[lead], -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+                pivots[lead] = row
                 break
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        prow = rows[pr]
-        inv = field.inv(prow[col])
-        for j in list(prow):
-            prow[j] = field.mul(inv, prow[j])
-        for r in range(nrows):
-            if r != pr and col in rows[r]:
-                f = rows[r][col]
-                target = rows[r]
-                for j, pv in prow.items():
-                    nv = field.sub(target.get(j, field.zero()),
-                                   field.mul(f, pv))
-                    if field.is_zero(nv):
-                        target.pop(j, None)
-                    else:
-                        target[j] = nv
-        pivots.append(col)
-        pr += 1
-    reduced = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    return pivots, Matrix(nrows, ncols, reduced)
+            row = _eliminate(row, prow, lead, p)
+    if reduced:
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            for col in [j for j in row if j != lead and j in pivots]:
+                row = _eliminate(row, pivots[col], col, p)
+            pivots[lead] = row
+    return pivots
+
+
+def _rref_rows(m: Matrix, field: CoefficientField) -> dict:
+    """{pivot: RREF row} with Fraction entries over Q, ints over F_p."""
+    rows = _echelon(m, field, reduced=True)
+    if field.p is None:
+        for lead, row in rows.items():
+            d = row[lead]
+            rows[lead] = {j: Fraction(v, d) for j, v in row.items()}
+    return rows
 
 
 def rref(m: Matrix, field: CoefficientField):
     """Reduced row echelon form over the field.
 
     Returns:
-        (pivots, R): pivot column indices and the reduced matrix.  The RREF
-        is unique, so the dense and sparse paths agree exactly.
+        (pivots, R): the pivot column indices in increasing order and the
+        (unique) reduced matrix, with Fraction entries over Q.
     """
-    if m.representation == "sparse":
-        return _rref_sparse(m, field)
-    return _rref_dense(m, field)
+    rows = _rref_rows(m, field)
+    pivots = sorted(rows)
+    entries = {(i, j): v for i, lead in enumerate(pivots)
+               for j, v in rows[lead].items()}
+    return pivots, Matrix(m.nrows, m.ncols, entries)
 
 
 def rank(m: Matrix, field: CoefficientField) -> int:
     """Rank of the matrix over the given field."""
-    return len(rref(m, field)[0])
+    return len(_echelon(m, field, reduced=False))
 
 
 def kernel_basis(m: Matrix, field: CoefficientField) -> Matrix:
     """Matrix whose columns form the canonical RREF null-space basis.
 
-    Satisfies rank(m) + cols(result) == cols(m); the product m*result is
-    zero over the field (both checked in test builds).
+    Column k is the solution that is 1 at the k-th free (non-pivot)
+    column and 0 at the others.  Raises InvariantError unless
+    rank(m) + cols(result) == cols(m) and m*result is zero over the field.
     """
-    pivots, reduced = rref(m, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    entries = {}
-    one = field.one()
-    for k, fc in enumerate(free):
-        entries[(fc, k)] = one
-        for r, pc in enumerate(pivots):
-            v = reduced[(r, fc)]
-            if not field.is_zero(v):
-                entries[(pc, k)] = field.neg(v)
+    rows = _rref_rows(m, field)
+    free = [c for c in range(m.ncols) if c not in rows]
+    position = {c: k for k, c in enumerate(free)}
+    p = field.p
+    one = Fraction(1) if p is None else 1
+    entries = {(c, k): one for k, c in enumerate(free)}
+    for lead, row in rows.items():
+        for j, v in row.items():
+            if j != lead:
+                entries[(lead, position[j])] = -v if p is None else -v % p
     result = Matrix(m.ncols, len(free), entries)
-    assert len(pivots) + result.ncols == m.ncols
-    assert product_is_zero(m, result, field)
+    if len(rows) + result.ncols != m.ncols:
+        raise InvariantError(
+            f"rank {len(rows)} + nullity {result.ncols} != {m.ncols} columns")
+    if not product_is_zero(m, result, field):
+        raise InvariantError("kernel basis is not annihilated by the matrix")
     return result
 
 
 def product_is_zero(a: Matrix, b: Matrix, field: CoefficientField) -> bool:
-    """Whether a*b vanishes over the field."""
+    """Whether a*b vanishes over the field.
+
+    Uses integer rows of a and integer columns of b: scaling a row or a
+    column by a non-zero rational keeps every zero of the product.
+    """
     if a.ncols != b.nrows:
         raise ShapeError(f"{a.ncols} cols vs {b.nrows} rows")
-    acc: dict = {}
-    b_by_row: dict = {}
-    for (k, j), v in b.entries.items():
-        b_by_row.setdefault(k, []).append((j, v))
-    for (i, k), v in a.entries.items():
-        cv = field.convert(v)
-        for j, w in b_by_row.get(k, ()):
-            key = (i, j)
-            acc[key] = field.add(acc.get(key, field.zero()),
-                                 field.mul(cv, field.convert(w)))
-    return all(field.is_zero(v) for v in acc.values())
+    p = field.p
+    a_by_col: dict = {}
+    for i, row in _int_rows(a.entries, field).items():
+        for k, v in row.items():
+            a_by_col.setdefault(k, []).append((i, v))
+    b_cols = _int_rows({(j, k): v for (k, j), v in b.entries.items()}, field)
+    for col in b_cols.values():
+        acc: dict = {}
+        for k, w in col.items():
+            for i, v in a_by_col.get(k, ()):
+                acc[i] = acc.get(i, 0) + v * w
+        if any(s % p if p else s for s in acc.values()):
+            return False
+    return True
 
 
 def span_dim(vectors: Matrix, field: CoefficientField) -> int:

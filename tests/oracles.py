@@ -2,11 +2,14 @@
 
 Nothing here imports from bstar's computation paths: face enumeration is
 redone with itertools, h-numbers come from symbolic polynomial expansion,
-and ranks/Betti numbers are recomputed with sympy's exact matrices, so
-agreement with the library is a genuine dual-route check.
+ranks/Betti numbers are recomputed with sympy's exact matrices, and the
+reduced row echelon form comes from the dense Fraction elimination bstar
+used before its integer routine, so agreement with the library is a
+genuine dual-route check.
 """
 
 import itertools
+from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import GF
@@ -89,3 +92,88 @@ def oracle_betti(facets, p=None):
         r_in = ranks[degree + 1] if degree + 1 < len(ranks) else 0
         values.append(counts[degree + 1] - r_out - r_in)
     return tuple(values)
+
+
+class _Field:
+    """Element arithmetic of Q (p None: Fractions) or F_p (ints in [0, p))."""
+
+    def __init__(self, p=None):
+        self.p = p
+
+    def convert(self, x):
+        if self.p is None:
+            return x if isinstance(x, Fraction) else Fraction(x)
+        p = self.p
+        if isinstance(x, Fraction):
+            den = x.denominator % p
+            if den == 0:
+                raise ZeroDivisionError(
+                    f"denominator of {x} vanishes in F_{p}")
+            return x.numerator * pow(den, -1, p) % p
+        return x % p
+
+    def is_zero(self, a):
+        return a == 0
+
+    def sub(self, a, b):
+        return a - b if self.p is None else (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b if self.p is None else (a * b) % self.p
+
+    def neg(self, a):
+        return -a if self.p is None else (-a) % self.p
+
+    def inv(self, a):
+        if self.p is None:
+            return Fraction(1) / a
+        return pow(a, -1, self.p)
+
+
+def oracle_rref(rows, ncols, p=None):
+    """(pivots, reduced rows) by dense Gauss-Jordan elimination with field
+    elements: Fractions over Q (p None), ints mod p over F_p."""
+    field = _Field(p)
+    rows = [[field.convert(v) for v in row] for row in rows]
+    nrows = len(rows)
+    pivots = []
+    pr = 0
+    for col in range(ncols):
+        if pr == nrows:
+            break
+        piv = None
+        for r in range(pr, nrows):
+            if not field.is_zero(rows[r][col]):
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = field.inv(rows[pr][col])
+        rows[pr] = [field.mul(inv, x) for x in rows[pr]]
+        prow = rows[pr]
+        for r in range(nrows):
+            if r != pr:
+                f = rows[r][col]
+                if not field.is_zero(f):
+                    rows[r] = [field.sub(a, field.mul(f, b))
+                               for a, b in zip(rows[r], prow)]
+        pivots.append(col)
+        pr += 1
+    return pivots, rows
+
+
+def oracle_kernel_basis(rows, ncols, p=None):
+    """Non-zero entries {(row, col): value} of the canonical null-space
+    basis read off the oracle RREF: column k is 1 at the k-th free column."""
+    field = _Field(p)
+    pivots, reduced = oracle_rref(rows, ncols, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    entries = {}
+    for k, fc in enumerate(free):
+        entries[(fc, k)] = field.convert(1)
+        for r, pc in enumerate(pivots):
+            v = reduced[r][fc]
+            if not field.is_zero(v):
+                entries[(pc, k)] = field.neg(v)
+    return entries

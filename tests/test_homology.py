@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bstar import (GF2, GF3, QQ, BettiVector, FaceNotPresentError, build,
-                   chain_complex, clear_caches, fixture, fixture_names,
-                   pair_restriction_surjective, reduced_betti, relative_betti,
-                   relative_betti_vector, simplex, top_restriction_surjective)
+from bstar import (GF2, GF3, QQ, BettiVector, FaceNotPresentError,
+                   InvariantError, build, chain_complex, clear_caches, fixture,
+                   fixture_names, pair_restriction_surjective, reduced_betti,
+                   relative_betti, relative_betti_vector, simplex,
+                   top_restriction_surjective)
+from bstar import homology
 from bstar.homology import load_betti_cache, save_betti_cache
 
 from oracles import oracle_betti
@@ -147,6 +149,18 @@ def test_euler_from_betti_matches_f_alternation(fl, field):
     from bstar import reduced_euler_characteristic
     assert reduced_betti(c, field).chi_reduced() == \
         reduced_euler_characteristic(c)
+
+
+def test_euler_check_raises_on_corrupted_ranks(monkeypatch, octahedron):
+    # one boundary rank too many: it lowers the top Betti number and has
+    # no degree above to cancel it in the alternating sum
+    real = homology._boundary_ranks
+    monkeypatch.setattr(homology, "_boundary_ranks",
+                        lambda c, field: real(c, field) + (1,))
+    clear_caches()
+    with pytest.raises(InvariantError, match="Euler characteristic"):
+        reduced_betti(octahedron, QQ)
+    clear_caches()
 
 
 def test_memoization_returns_identical_object(octahedron):

@@ -1,14 +1,19 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bstar import (GF, GF2, GF3, QQ, CoefficientField, Matrix, ShapeError,
-                   kernel_basis, rank, rref, span_contains, span_dim)
-from bstar.linalg import _rref_dense, _rref_sparse, product_is_zero
+from bstar import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
+                   Matrix, ShapeError, chain_complex, corpus, kernel_basis,
+                   rank, rref, span_contains, span_dim)
+from bstar import linalg
+from bstar.linalg import product_is_zero
 
-from oracles import oracle_rank
+from oracles import oracle_kernel_basis, oracle_rank, oracle_rref
+
+FIELDS = ((QQ, None), (GF2, 2), (GF3, 3), (GF(5), 5))
 
 # Signed vertex-edge incidence of the triangle boundary (edges 12, 13, 23).
 TRIANGLE_D1 = Matrix.from_rows([
@@ -114,13 +119,74 @@ def test_rank_nullity_and_kernel_annihilation(m):
         assert product_is_zero(m, k, f)
 
 
-@given(int_matrices)
-def test_dense_and_sparse_paths_agree(m):
-    for f in (QQ, GF2):
-        pd, rd = _rref_dense(m, f)
-        ps, rs = _rref_sparse(m, f)
-        assert pd == ps
-        assert rd == rs
+# Fraction matrices of any shape, 0xn and nx0 included, mostly zeros so
+# that all-zero rows, columns and matrices come up often.
+fraction_matrices = st.integers(0, 6).flatmap(
+    lambda nrows: st.integers(0, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-3, 3),
+                               st.fractions(max_denominator=6)),
+                     min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows).map(
+                lambda rows: Matrix(nrows, ncols, {
+                    (i, j): Fraction(v) for i, row in enumerate(rows)
+                    for j, v in enumerate(row) if v != 0}))))
+
+
+def assert_matches_oracle(m, field, p):
+    """rank, rref and kernel_basis agree exactly with the Fraction RREF
+    oracle, and the rank with sympy."""
+    try:
+        pivots, reduced = oracle_rref(m.to_rows(), m.ncols, p)
+    except ZeroDivisionError:
+        for routine in (rank, rref, kernel_basis):
+            with pytest.raises(ZeroDivisionError):
+                routine(m, field)
+        return
+    expected = {(i, j): v for i, row in enumerate(reduced)
+                for j, v in enumerate(row) if v != 0}
+    got_pivots, got = rref(m, field)
+    assert got_pivots == pivots
+    assert got.entries == expected
+    element = Fraction if p is None else int
+    assert all(type(v) is element for v in got.entries.values())
+    k = kernel_basis(m, field)
+    assert (k.nrows, k.ncols) == (m.ncols, m.ncols - len(pivots))
+    assert k.entries == oracle_kernel_basis(m.to_rows(), m.ncols, p)
+    assert all(type(v) is element for v in k.entries.values())
+    assert rank(m, field) == len(pivots)
+    # Scaling rows by their denominators keeps the rank here, since the
+    # oracle found every denominator invertible in the field.
+    int_rows = []
+    for row in m.to_rows():
+        den = lcm(*(Fraction(v).denominator for v in row))
+        int_rows.append([int(v * den) for v in row])
+    if m.nrows and m.ncols:
+        assert oracle_rank(int_rows, p) == len(pivots)
+
+
+@given(fraction_matrices)
+def test_rref_and_kernel_match_fraction_oracle(m):
+    for field, p in FIELDS:
+        assert_matches_oracle(m, field, p)
+
+
+def test_corpus_boundaries_match_fraction_oracle():
+    for entry in corpus():
+        if entry.complex.is_void:
+            continue
+        for b in chain_complex(entry.complex, QQ).boundaries:
+            for field, p in FIELDS:
+                assert_matches_oracle(b, field, p)
+
+
+def test_vanishing_denominator_raises_in_prime_field():
+    half = Matrix.from_rows([[Fraction(1, 2), 1], [0, 1]])
+    for routine in (rank, rref, kernel_basis):
+        with pytest.raises(ZeroDivisionError):
+            routine(half, GF2)
+    assert rank(half, GF3) == 2
+    assert rank(half, QQ) == 2
 
 
 def test_rank_deterministic():
@@ -129,13 +195,47 @@ def test_rank_deterministic():
     assert results == {2}
 
 
-def test_representation_selection():
-    dense = Matrix.from_rows([[1, 2], [3, 4]])
-    assert dense.representation == "dense"
-    sparse = Matrix(10, 10, {(0, 0): 1})
-    assert sparse.representation == "sparse"
-    # rank agrees regardless of which path the density picks
-    assert rank(sparse, QQ) == 1
+def test_sparse_and_degenerate_shapes():
+    for field, _ in FIELDS:
+        assert rank(Matrix(10, 10, {(0, 0): 1}), field) == 1
+        assert rank(Matrix.from_rows([[1, 2], [3, 4]]), field) == (
+            1 if field is GF2 else 2)
+        for nrows, ncols in ((0, 3), (3, 0), (0, 0), (2, 3)):
+            zero = Matrix.zero(nrows, ncols)
+            assert rank(zero, field) == 0
+            assert rref(zero, field) == ([], zero)
+            assert kernel_basis(zero, field) == Matrix(
+                ncols, ncols, {(j, j): 1 for j in range(ncols)})
+
+
+def test_kernel_basis_checks_rank_plus_nullity(monkeypatch):
+    # an echelon form claiming a pivot beyond the last column
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda m, field, reduced: {0: {0: 1}, 5: {5: 1}})
+    with pytest.raises(InvariantError, match="nullity"):
+        kernel_basis(Matrix.from_rows([[1, 0]]), QQ)
+
+
+def test_kernel_basis_checks_annihilation(monkeypatch):
+    # the RREF of TRIANGLE_D1 is [[1, 0, -1], [0, 1, 1]]; corrupt one entry
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda m, field, reduced: {0: {0: 1, 2: -1},
+                                                   1: {1: 1, 2: 2}})
+    for field in (QQ, GF3):
+        with pytest.raises(InvariantError, match="annihilated"):
+            kernel_basis(TRIANGLE_D1, field)
+
+
+def test_product_is_zero_over_fields():
+    a = Matrix.from_rows([[1, Fraction(1, 3)]])
+    assert product_is_zero(a, Matrix.from_rows([[1], [-3]]), QQ)
+    assert not product_is_zero(a, Matrix.from_rows([[1], [3]]), QQ)
+    assert product_is_zero(Matrix.from_rows([[1, 1]]),
+                           Matrix.from_rows([[1], [1]]), GF2)
+    assert not product_is_zero(Matrix.from_rows([[1, 1]]),
+                               Matrix.from_rows([[1], [1]]), GF3)
+    with pytest.raises(ShapeError):
+        product_is_zero(a, a, QQ)
 
 
 def test_rref_is_canonical():
