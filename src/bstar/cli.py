@@ -305,11 +305,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cache_dir = os.environ.get("BSTAR_CACHE_DIR")
     cache_file = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_file = os.path.join(cache_dir, "betti.json")
-        homology.load_betti_cache(cache_file)
     try:
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
+            path = os.path.join(cache_dir, "betti.json")
+            homology.load_betti_cache(path)
+            cache_file = path  # a file that failed to load is left as it is
         code = args.func(args)
     except (ComplexFileError, ComplexError, ColoringError, ValueError,
             OSError) as exc:

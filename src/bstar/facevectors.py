@@ -14,7 +14,7 @@ from math import comb
 
 from .complexes import Complex, NotPureError
 from .homology import reduced_betti
-from .linalg import CoefficientField
+from .linalg import CoefficientField, InvariantError
 
 
 def f_vector(c: Complex) -> tuple:
@@ -81,8 +81,8 @@ def short_simplicial_h(c: Complex) -> tuple:
             out[j] += val
     h = h_vector(c)
     for j in range(1, d + 1):
-        assert out[j - 1] == j * h[j] + (d - j + 1) * h[j - 1], \
-            f"short-h identity fails at j={j}"
+        if out[j - 1] != j * h[j] + (d - j + 1) * h[j - 1]:
+            raise InvariantError(f"short-h identity fails at j={j}")
     return tuple(out)
 
 

@@ -12,33 +12,50 @@ coordinate projections at chain level, never routed through the
 link-shift isomorphism, which therefore stays available as an independent
 cross-check.
 
-All results are memoized per (complex, field) keyed by the canonical
-facet encoding.  The caches behave as write-once maps (setdefault), so
-concurrent insertion of identical values is safe and results do not
-depend on scheduling.
+Results live in one cache keyed ``(kind, facets, ...)`` by the canonical
+facet encoding: chain data per complex; per complex and field the Betti
+vectors, top cycle bases and the Cohen-Macaulay reports of
+:mod:`bstar.properties`; per face tau and field the quotient-complex
+ranks and top kernel (with the rows of the facets containing tau).  Each
+entry is a deterministic function of its key.  Under one lock, insertion
+keeps the first value stored for a key, so concurrent identical queries
+get one object, and a full cache (CACHE_LIMIT entries) drops its oldest
+quarter, which costs only recomputation.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
+from itertools import islice
 
 from .complexes import Complex, FaceNotPresentError, NotPureError, as_face
 from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
                      rank)
 
-_chain_cache: dict = {}
-_rank_cache: dict = {}
-_betti_cache: dict = {}
-_rel_cache: dict = {}
-_rel_kernel_cache: dict = {}
-_top_kernel_cache: dict = {}
+CACHE_LIMIT = 1 << 16
+_cache: dict = {}
+_cache_lock = threading.Lock()
 
 
 def clear_caches() -> None:
-    for c in (_chain_cache, _rank_cache, _betti_cache, _rel_cache,
-              _rel_kernel_cache, _top_kernel_cache):
-        c.clear()
+    with _cache_lock:
+        _cache.clear()
+
+
+def _cached(key):
+    return _cache.get(key)
+
+
+def _store(key, value):
+    """Insert unless the key is present, first dropping the oldest quarter
+    of a full cache; return the value kept for the key."""
+    with _cache_lock:
+        if len(_cache) >= CACHE_LIMIT:
+            for old in list(islice(_cache, len(_cache) - CACHE_LIMIT * 3 // 4)):
+                del _cache[old]
+        return _cache.setdefault(key, value)
 
 
 @dataclass(frozen=True)
@@ -94,8 +111,8 @@ class ChainComplexOverField:
 
 def _chain_data(c: Complex):
     """Bases and integer boundary matrices, cached per complex."""
-    key = c.facets
-    cached = _chain_cache.get(key)
+    key = ("chain", c.facets)
+    cached = _cache.get(key)
     if cached is not None:
         return cached
     top = c.dim
@@ -112,9 +129,9 @@ def _chain_data(c: Complex):
                 entries[(rows_idx[sub], j)] = 1 if drop % 2 == 0 else -1
         boundaries.append(Matrix(len(bases[degree]), len(cols), entries))
     for j in range(1, len(boundaries)):
-        assert boundaries[j - 1].matmul(boundaries[j]).is_zero
-    data = (tuple(bases), tuple(boundaries))
-    return _chain_cache.setdefault(key, data)
+        if not boundaries[j - 1].matmul(boundaries[j]).is_zero:
+            raise InvariantError(f"boundary of boundary is not zero in degree {j}")
+    return _store(key, (tuple(bases), tuple(boundaries)))
 
 
 def chain_complex(c: Complex, field: CoefficientField) -> ChainComplexOverField:
@@ -126,21 +143,16 @@ def chain_complex(c: Complex, field: CoefficientField) -> ChainComplexOverField:
 
 
 def _boundary_ranks(c: Complex, field: CoefficientField) -> tuple:
-    key = (c.facets, field.label)
-    cached = _rank_cache.get(key)
-    if cached is not None:
-        return cached
     _, boundaries = _chain_data(c)
-    ranks = tuple(rank(b, field) for b in boundaries)
-    return _rank_cache.setdefault(key, ranks)
+    return tuple(rank(b, field) for b in boundaries)
 
 
 def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
     """Reduced Betti numbers of a non-void complex."""
     if c.is_void:
         raise ValueError("Betti numbers of the void complex are undefined")
-    key = (c.facets, field.label)
-    cached = _betti_cache.get(key)
+    key = ("betti", c.facets, field.label)
+    cached = _cache.get(key)
     if cached is not None:
         return cached
     top = c.dim
@@ -160,7 +172,7 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
         if bv.chi_reduced() != chi_f:
             raise InvariantError(f"Euler characteristic mismatch: "
                                  f"{bv.chi_reduced()} != {chi_f}")
-    return _betti_cache.setdefault(key, bv)
+    return _store(key, bv)
 
 
 def _superset_indices(c: Complex, tau: tuple) -> dict:
@@ -181,8 +193,8 @@ def _relative_data(c: Complex, tau: tuple, field: CoefficientField):
     """Face counts and boundary ranks of the quotient complex for
     (Delta, cost(tau)): counts[j] and rank of the induced boundary leaving
     degree j, for |tau|-1 <= j <= dim."""
-    key = (c.facets, tau, field.label)
-    cached = _rel_cache.get(key)
+    key = ("rel", c.facets, tau, field.label)
+    cached = _cache.get(key)
     if cached is not None:
         return cached
     bases, boundaries = _chain_data(c)
@@ -196,7 +208,7 @@ def _relative_data(c: Complex, tau: tuple, field: CoefficientField):
             continue
         sub = boundaries[deg].submatrix(rows, idx)
         ranks[deg] = rank(sub, field)
-    return _rel_cache.setdefault(key, (counts, ranks))
+    return _store(key, (counts, ranks))
 
 
 def relative_betti_vector(c: Complex, tau, field: CoefficientField) -> BettiVector:
@@ -230,20 +242,21 @@ def _checked_face(c: Complex, tau) -> tuple:
 def top_cycle_basis(c: Complex, field: CoefficientField) -> Matrix:
     """Basis of top-degree cycles; equals the top reduced homology of a
     pure complex since there are no chains above the top degree."""
-    key = (c.facets, field.label)
-    cached = _top_kernel_cache.get(key)
+    key = ("top_kernel", c.facets, field.label)
+    cached = _cache.get(key)
     if cached is not None:
         return cached
     _, boundaries = _chain_data(c)
     k = kernel_basis(boundaries[c.dim], field)
-    return _top_kernel_cache.setdefault(key, k)
+    return _store(key, k)
 
 
-def _relative_top_kernel(c: Complex, tau: tuple, field: CoefficientField) -> Matrix:
-    """Kernel of the top boundary of the quotient complex for tau; its
-    columns live in the coordinates of the facets containing tau."""
-    key = (c.facets, tau, field.label)
-    cached = _rel_kernel_cache.get(key)
+def _relative_top_kernel(c: Complex, tau: tuple, field: CoefficientField):
+    """The basis indices of the facets containing tau, and the kernel of
+    the top boundary of the quotient complex for tau, whose rows are
+    those facets in that order."""
+    key = ("rel_kernel", c.facets, tau, field.label)
+    cached = _cache.get(key)
     if cached is not None:
         return cached
     _, boundaries = _chain_data(c)
@@ -252,8 +265,7 @@ def _relative_top_kernel(c: Complex, tau: tuple, field: CoefficientField) -> Mat
     cols = sel[top]
     rows = sel.get(top - 1, [])
     sub = boundaries[top].submatrix(rows, cols)
-    k = kernel_basis(sub, field)
-    return _rel_kernel_cache.setdefault(key, k)
+    return _store(key, (cols, kernel_basis(sub, field)))
 
 
 def top_restriction_surjective(c: Complex, tau, field: CoefficientField) -> bool:
@@ -266,9 +278,7 @@ def top_restriction_surjective(c: Complex, tau, field: CoefficientField) -> bool
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
     t = _checked_face(c, tau)
-    top = c.dim
-    facet_rows = _superset_indices(c, t)[top]
-    rel_kernel = _relative_top_kernel(c, t, field)
+    facet_rows, rel_kernel = _relative_top_kernel(c, t, field)
     z_dim = rel_kernel.ncols
     if z_dim == 0:
         return True
@@ -294,15 +304,12 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
         return True
     if not t:
         return True
-    top = c.dim
-    target_kernel = _relative_top_kernel(c, t, field)
+    rows_t, target_kernel = _relative_top_kernel(c, t, field)
     z_dim = target_kernel.ncols
     if z_dim == 0:
         return True
-    rows_t = _superset_indices(c, t)[top]
     if s:
-        source = _relative_top_kernel(c, s, field)
-        rows_s = _superset_indices(c, s)[top]
+        rows_s, source = _relative_top_kernel(c, s, field)
         pos = {facet_idx: i for i, facet_idx in enumerate(rows_s)}
         projected = source.take_rows([pos[i] for i in rows_t])
     else:
@@ -313,35 +320,46 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
 # -- optional on-disk Betti cache (used by the CLI) -------------------------
 
 def _cache_key_string(facets: tuple, field_label: str) -> str:
-    return field_label + "|" + json.dumps([list(f) for f in facets])
+    return field_label + "|" + json.dumps(facets)
 
 
 def save_betti_cache(path) -> None:
+    """Write the Betti entries of the cache to a JSON file."""
     data = {
-        _cache_key_string(facets, label): list(bv.values)
-        for (facets, label), bv in _betti_cache.items()
+        _cache_key_string(key[1], key[2]): list(bv.values)
+        for key, bv in list(_cache.items()) if key[0] == "betti"
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+        fh.write(json.dumps(data))  # one C-encoded string, not many chunks
 
 
 def load_betti_cache(path) -> int:
-    """Merge a saved cache file; a missing or corrupt file loads nothing."""
+    """Merge a saved cache file.  A missing or unparsable file loads
+    nothing, and an entry whose key does not parse is skipped.  Raises
+    ValueError if the file is not a JSON object or an entry is not a list
+    of non-negative ints of length max-facet-size + 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError):
         return 0
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the Betti cache is not a JSON object")
     loaded = 0
     for key, values in data.items():
         try:
             label, _, facets_json = key.partition("|")
-            facets = tuple(tuple(f) for f in json.loads(facets_json))
+            facets = tuple(map(tuple, json.loads(facets_json)))
+            size = max(map(len, facets)) + 1
             field = (CoefficientField.rationals() if label == "Q"
                      else CoefficientField.prime(int(label[1:])))
-        except (ValueError, json.JSONDecodeError):
+            hash(facets)  # a label that is a JSON list or object
+        except (ValueError, TypeError):
             continue
-        _betti_cache.setdefault((facets, label),
-                                BettiVector(tuple(values), field))
+        if not (type(values) is list and len(values) == size
+                and set(map(type, values)) == {int} and min(values) >= 0):
+            raise ValueError(f"{path}: Betti cache entry {key!r} is not a list "
+                             f"of {size} non-negative ints")
+        _store(("betti", facets, label), BettiVector(tuple(values), field))
         loaded += 1
     return loaded

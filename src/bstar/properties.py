@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .complexes import Complex, NotPureError, build, label_key
-from .homology import reduced_betti, top_restriction_surjective
-from .linalg import CoefficientField
+from .homology import _cached, _store, reduced_betti, top_restriction_surjective
+from .linalg import CoefficientField, InvariantError
 
 
 class ColoringError(Exception):
@@ -67,7 +67,8 @@ class Coloring:
                                     f"{self.assignment[e[0]]}")
         if c.is_pure and not c.is_void and c.dim + 1 == self.d:
             for f in c.facets:
-                assert len(self.color_set(f)) == len(f)
+                if len(self.color_set(f)) != len(f):
+                    raise InvariantError(f"facet {list(f)!r} repeats a color")
 
     def as_sorted_dict(self) -> dict:
         return {v: self.assignment[v]
@@ -109,18 +110,23 @@ def _impure_witness(c: Complex) -> Witness:
 
 def is_cohen_macaulay(c: Complex, field: CoefficientField) -> PropertyReport:
     """Vanishing of reduced link homology below the link dimension, for
-    every face including the empty one."""
+    every face including the empty one.  Reports are memoised in the
+    homology cache."""
     if c.is_void:
         raise ValueError("void complex has no Cohen-Macaulay verdict")
+    key = ("cm", c.facets, field.label)
+    cached = _cached(key)
+    if cached is not None:
+        return cached
     for sigma in c.faces_sorted():
         link = c.link(sigma)
         top = link.dim
         betti = reduced_betti(link, field)
         for i in range(-1, top):
             if betti[i] != 0:
-                return _report("cohen_macaulay", field, False,
-                               Witness("link_homology", (sigma, i)))
-    return _report("cohen_macaulay", field, True)
+                return _store(key, _report("cohen_macaulay", field, False,
+                                           Witness("link_homology", (sigma, i))))
+    return _store(key, _report("cohen_macaulay", field, True))
 
 
 def _vertex_subsets(c: Complex, max_size: int):
@@ -307,8 +313,10 @@ def rank_selected(c: Complex, coloring: Coloring, colors) -> Complex:
 
 def revalidate_witness(c: Complex, report: PropertyReport,
                        field: CoefficientField) -> bool:
-    """Re-check that a false report's witness is a genuine violation,
-    recomputing from scratch."""
+    """Re-check that a false report's witness is a genuine violation.  The
+    check recomputes the violation through the public predicates, which
+    read and fill the shared homology cache (see :mod:`bstar.homology`);
+    call clear_caches() first for a re-check that shares nothing."""
     if report.verdict or report.witness is None:
         return False
     w = report.witness

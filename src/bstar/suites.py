@@ -25,7 +25,7 @@ from .families import (cross_polytope, fixture, fixture_names,
                        skeleton_join_sphere, stacked_cross_polytopal_sphere)
 from .homology import (reduced_betti, relative_betti_vector,
                        pair_restriction_surjective, top_restriction_surjective)
-from .linalg import GF2, GF3, QQ, CoefficientField
+from .linalg import GF2, GF3, QQ, CoefficientField, InvariantError
 from .properties import (Coloring, is_buchsbaum, is_buchsbaum_star,
                          is_doubly_buchsbaum, is_m_buchsbaum_star, is_m_cm,
                          rank_selected, revalidate_witness)
@@ -347,7 +347,8 @@ def _suite_flag_bound(fields, seed, max_n):
     for cid, d, expected in targets:
         entry = _entry(cid)
         m = ms[cid]
-        assert expected == _binomial_power(m, d)
+        if expected != _binomial_power(m, d):
+            raise InvariantError(f"{cid}: {expected} is not the h-vector bound")
         for f in fields:
             got = h_prime_vector(entry.complex, f)
             cases.append(_case(f"{cid}|h_prime", "h_prime_extremal",

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bstar import (GF2, QQ, FaceVectors, NotPureError, build, f_from_h,
-                   f_vector, h_from_f, h_prime_vector, h_vector, poly_geq,
-                   reduced_euler_characteristic, short_simplicial_h, simplex,
-                   simplex_boundary, stacked_cross_polytopal_sphere)
+from bstar import (GF2, QQ, FaceVectors, InvariantError, NotPureError, build,
+                   f_from_h, f_vector, h_from_f, h_prime_vector, h_vector,
+                   poly_geq, reduced_euler_characteristic, short_simplicial_h,
+                   simplex, simplex_boundary, stacked_cross_polytopal_sphere)
+from bstar import facevectors
 
 from oracles import oracle_h_vector
 
@@ -74,6 +75,21 @@ def test_short_simplicial_h(octahedron):
     for d in range(1, 5):
         expected = (d + 1,) + (0,) * d
         assert short_simplicial_h(simplex(d)) == expected
+
+
+def test_short_h_check_raises_on_corrupted_link(monkeypatch, octahedron):
+    # the first vertex link's h_0 off by one breaks the j = 1 identity
+    real = facevectors.h_vector
+    calls = []
+
+    def corrupted(c):
+        calls.append(c)
+        h = real(c)
+        return (h[0] + 1,) + h[1:] if len(calls) == 1 else h
+
+    monkeypatch.setattr(facevectors, "h_vector", corrupted)
+    with pytest.raises(InvariantError, match="short-h identity fails at j=1"):
+        short_simplicial_h(octahedron)
 
 
 @settings(max_examples=40)

@@ -145,6 +145,52 @@ def test_cli_cache_dir(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _run_with_cache_file(tmp_path, capsys, monkeypatch, content):
+    octa = tmp_path / "octa.json"
+    main(["construct", "cross-polytope", "3", "-o", str(octa)])
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "betti.json").write_text(content)
+    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
+    capsys.readouterr()
+    code = main(["homology", str(octa), "--field", "q"])
+    err = capsys.readouterr().err
+    return code, err, (cache / "betti.json").read_text()
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '"betti"'])
+def test_cli_cache_file_not_an_object(tmp_path, capsys, monkeypatch, content):
+    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
+                                            content)
+    assert code == 2 and after == content
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a JSON object" in err
+
+
+@pytest.mark.parametrize("values", [
+    "[0, 0, 0]", "[0, 0, 0, 1, 0]", "[0, 0, -1, 1]", "[0, 0, 0, 1.0]",
+    "[0, 0, true, 1]", '"0001"', "{}", "null",
+])
+def test_cli_cache_entry_malformed(tmp_path, capsys, monkeypatch, values):
+    # the octahedron has 3-element facets: its entry lists 4 Betti numbers
+    content = '{"Q|[[1, 2, 3]]": %s}' % values
+    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
+                                            content)
+    assert code == 2 and after == content
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Q|[[1, 2, 3]]" in err and "non-negative ints" in err
+
+
+def test_cli_cache_entry_with_unparsable_key_is_skipped(tmp_path, capsys,
+                                                        monkeypatch):
+    content = ('{"Q|[[[1], 2]]": [0, 0, 1], "Q|[]": [1], "F4|[[1]]": [0, 0],'
+               ' "Q|[[1, 2]": [0]}')
+    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
+                                            content)
+    assert (code, err) == (0, "")
+    assert "[[[1], 2]]" not in after
+
+
 def test_cli_json_and_text_verdicts_agree(tmp_path, capsys):
     octa = tmp_path / "octa.json"
     main(["construct", "cross-polytope", "3", "-o", str(octa)])

@@ -32,6 +32,23 @@ def test_boundary_squared_zero(octahedron):
         assert cc.boundary(j - 1).matmul(cc.boundary(j)).is_zero
 
 
+def test_boundary_check_raises_on_corrupted_sign(monkeypatch, octahedron):
+    # one flipped sign in the augmentation row: the vertex boundary of the
+    # first edge no longer sums to zero
+    real = homology.Matrix
+
+    def corrupted(nrows, ncols, entries):
+        if nrows == 1:
+            entries = {**entries, (0, 0): -entries[(0, 0)]}
+        return real(nrows, ncols, entries)
+
+    monkeypatch.setattr(homology, "Matrix", corrupted)
+    clear_caches()
+    with pytest.raises(InvariantError, match="boundary of boundary"):
+        chain_complex(octahedron, QQ)
+    clear_caches()
+
+
 def test_triangle_boundary_d1_rank(triangle_boundary):
     cc = chain_complex(triangle_boundary, QQ)
     d1 = cc.boundary(1)
@@ -180,8 +197,8 @@ def test_cache_save_load_roundtrip(tmp_path, octahedron):
 
 
 def test_concurrent_betti_queries_agree(octahedron):
-    # the memo cache is write-once: concurrent identical queries must all
-    # resolve to the same canonical vector
+    # the memo cache keeps the first value stored for a key: concurrent
+    # identical queries must all resolve to the same canonical vector
     from concurrent.futures import ThreadPoolExecutor
     clear_caches()
     with ThreadPoolExecutor(max_workers=8) as pool:

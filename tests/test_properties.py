@@ -235,3 +235,57 @@ def test_one_dimensional_cm_is_connectivity():
         connected = len(c.connected_components()) == 1
         for f in (QQ, GF2):
             assert is_cohen_macaulay(c, f).verdict == connected, (seed, f)
+
+
+_DIFF_PREDICATES = (
+    is_cohen_macaulay, is_buchsbaum, is_buchsbaum_star,
+    lambda c, f: is_m_cm(c, 2, f),
+    lambda c, f: is_m_buchsbaum_star(c, 2, f),
+    is_doubly_buchsbaum,
+)
+
+
+def test_cached_reports_match_cold_reports():
+    # the homology cache memoises whole Cohen-Macaulay reports and the
+    # pieces of every other predicate: a warm cache must give exactly the
+    # reports (verdicts and first-violation witnesses) of a cold one
+    from bstar import GF3, clear_caches, corpus
+    from bstar.homology import _cache
+    from bstar.suites import _random_pure_corpus
+    complexes = [e.complex for e in corpus()]
+    complexes += [cx for _, cx in _random_pure_corpus(0, 40, 7)]
+    calls = [(pred, c, f) for c in complexes for f in (QQ, GF2, GF3)
+             for pred in _DIFF_PREDICATES]
+    warm = [pred(c, f) for pred, c, f in calls]
+    cold = []
+    for pred, c, f in calls:
+        clear_caches()
+        assert not _cache
+        cold.append(pred(c, f))
+    assert warm == cold
+    for (pred, c, f), rep in zip(calls, warm):
+        if not rep.verdict:
+            assert revalidate_witness(c, rep, f), (c, rep)
+
+
+def test_bounded_cache_keeps_suite_records(monkeypatch):
+    # with a tiny limit the cache evicts constantly; the hierarchy suite
+    # must still give the same case records and the cache never exceeds
+    # the limit
+    from bstar import clear_caches, homology, run_suite
+    clear_caches()
+    expected = run_suite("hierarchy").to_dict()["cases"]
+
+    sizes = []
+
+    class RecordingDict(dict):
+        def setdefault(self, key, value):
+            kept = super().setdefault(key, value)
+            sizes.append(len(self))
+            return kept
+
+    monkeypatch.setattr(homology, "CACHE_LIMIT", 50)
+    monkeypatch.setattr(homology, "_cache", RecordingDict())
+    assert run_suite("hierarchy").to_dict()["cases"] == expected
+    assert len(sizes) > 50 and max(sizes) == 50
+    clear_caches()
