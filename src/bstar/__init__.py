@@ -23,8 +23,7 @@ from .homology import (BettiVector, ChainComplexOverField, chain_complex,
                        reduced_betti, relative_betti, relative_betti_vector,
                        top_restriction_surjective)
 from .linalg import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
-                     Matrix, ShapeError, kernel_basis, rank, rref,
-                     span_contains, span_dim)
+                     Matrix, ShapeError, kernel_basis, rank, rref)
 from .properties import (UNKNOWN, Coloring, ColoringError, PropertyReport,
                          Witness, find_balanced_coloring, is_buchsbaum,
                          is_buchsbaum_star, is_cohen_macaulay,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything passes (or a queried property holds), 1 when
 a suite or property check fails, 2 for usage and parse errors.  Set
-BSTAR_CACHE_DIR to persist computed Betti numbers between invocations.
+BSTAR_CACHE_DIR to persist computed Betti numbers between invocations;
+the file there is rewritten, atomically, only when it lacks some of them.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             path = os.path.join(cache_dir, "betti.json")
-            homology.load_betti_cache(path)
+            on_disk = homology.load_betti_cache(path)
             cache_file = path  # a file that failed to load is left as it is
         code = args.func(args)
     except (ComplexFileError, ComplexError, ColoringError, ValueError,
@@ -317,7 +318,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if cache_file:
+        # the cache now holds every vector of the file, so the file is
+        # rewritten only if the cache holds more
+        if cache_file and homology._betti_count() > on_disk:
             homology.save_betti_cache(cache_file)
     return code
 

@@ -91,10 +91,12 @@ class Complex:
     its argument is already canonical (sorted, pairwise incomparable).
     """
 
-    __slots__ = ("facets", "_vertices", "_faces", "_by_dim", "_hash")
+    __slots__ = ("facets", "dim", "_vertices", "_faces", "_by_dim", "_hash")
 
     def __init__(self, facets: tuple):
         self.facets = facets
+        # dimension (max facet dimension); None for the void complex
+        self.dim = max(map(len, facets)) - 1 if facets else None
         self._vertices = None
         self._faces = None
         self._by_dim = None
@@ -106,13 +108,6 @@ class Complex:
     def is_void(self) -> bool:
         """True for the complex with no faces at all."""
         return not self.facets
-
-    @property
-    def dim(self):
-        """Dimension (max facet dimension); None for the void complex."""
-        if self.is_void:
-            return None
-        return max(len(f) for f in self.facets) - 1
 
     @property
     def is_pure(self) -> bool:
@@ -169,17 +164,24 @@ class Complex:
     # -- face-level operators ----------------------------------------------
 
     def link(self, face: Iterable[Label]) -> "Complex":
-        """lk(tau): faces disjoint from tau whose union with tau is a face."""
+        """lk(tau): faces disjoint from tau whose union with tau is a face.
+
+        The facets of the link are the facets containing tau with tau
+        removed, already canonical, so no re-canonicalisation is needed.
+        """
         t = as_face(face)
         if t not in self.faces():
             raise FaceNotPresentError(f"{t!r} is not a face")
         ts = set(t)
-        gens = [
-            tuple(v for v in f if v not in ts)
-            for f in self.facets
-            if ts.issubset(f)
-        ]
-        return build(gens)
+        # f - tau <= g - tau with tau in f and g would give f <= g, so the
+        # stripped facets stay pairwise incomparable.  They also keep their
+        # lexicographic order, mixed int/str labels included.  Let f < g
+        # contain tau and first differ at position k.  Then f[k] is not in
+        # tau (g, sorted, has no room for it), and g - tau has a vertex
+        # beyond the common prefix (else g <= f), larger than f[k]; so the
+        # order of f - tau and g - tau is decided at f[k], as before.
+        return Complex(tuple(tuple(v for v in f if v not in ts)
+                             for f in self.facets if ts.issubset(f)))
 
     def contrastar(self, face: Iterable[Label]) -> "Complex":
         """cost(tau): the faces that do not contain tau (tau non-empty)."""

@@ -26,7 +26,9 @@ quarter, which costs only recomputation.
 from __future__ import annotations
 
 import json
+import os
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 
@@ -110,13 +112,17 @@ class ChainComplexOverField:
 
 
 def _chain_data(c: Complex):
-    """Bases and integer boundary matrices, cached per complex."""
+    """Bases, integer boundary matrices and, per basis face, its vertex
+    bitmask (bit i for the i-th vertex of c), cached per complex."""
     key = ("chain", c.facets)
     cached = _cache.get(key)
     if cached is not None:
         return cached
     top = c.dim
     bases = [tuple(c.faces_of_dim(k)) for k in range(-1, top + 1)]
+    bit = {v: 1 << i for i, v in enumerate(c.vertices)}
+    masks = tuple(tuple(sum(map(bit.__getitem__, face)) for face in basis)
+                  for basis in bases)
     index = [{face: i for i, face in enumerate(b)} for b in bases]
     boundaries = []
     for degree in range(0, top + 1):
@@ -131,19 +137,19 @@ def _chain_data(c: Complex):
     for j in range(1, len(boundaries)):
         if not boundaries[j - 1].matmul(boundaries[j]).is_zero:
             raise InvariantError(f"boundary of boundary is not zero in degree {j}")
-    return _store(key, (tuple(bases), tuple(boundaries)))
+    return _store(key, (tuple(bases), tuple(boundaries), masks))
 
 
 def chain_complex(c: Complex, field: CoefficientField) -> ChainComplexOverField:
     """The reduced chain complex of a non-void complex over the field."""
     if c.is_void:
         raise ValueError("the void complex has no chain complex")
-    bases, boundaries = _chain_data(c)
+    bases, boundaries, _ = _chain_data(c)
     return ChainComplexOverField(field, bases, boundaries)
 
 
 def _boundary_ranks(c: Complex, field: CoefficientField) -> tuple:
-    _, boundaries = _chain_data(c)
+    _, boundaries, _ = _chain_data(c)
     return tuple(rank(b, field) for b in boundaries)
 
 
@@ -159,7 +165,7 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
     if top == -1:
         bv = BettiVector((1,), field)
     else:
-        bases, _ = _chain_data(c)
+        bases, _, _ = _chain_data(c)
         ranks = _boundary_ranks(c, field)
         f = [len(b) for b in bases]
         values = []
@@ -176,17 +182,12 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
 
 
 def _superset_indices(c: Complex, tau: tuple) -> dict:
-    """Per degree, the basis indices of faces containing tau."""
-    bases, _ = _chain_data(c)
-    tset = set(tau)
-    out = {}
-    for k, basis in enumerate(bases):
-        degree = k - 1
-        if degree < len(tau) - 1:
-            continue
-        idx = [i for i, face in enumerate(basis) if tset.issubset(face)]
-        out[degree] = idx
-    return out
+    """Per degree, the basis indices of faces containing tau (a face)."""
+    _, _, masks = _chain_data(c)
+    vertices = c.vertices
+    t = sum(1 << vertices.index(v) for v in tau)
+    return {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
+            for k in range(len(tau), len(masks))}
 
 
 def _relative_data(c: Complex, tau: tuple, field: CoefficientField):
@@ -197,7 +198,7 @@ def _relative_data(c: Complex, tau: tuple, field: CoefficientField):
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    bases, boundaries = _chain_data(c)
+    _, boundaries, _ = _chain_data(c)
     sel = _superset_indices(c, tau)
     counts = {deg: len(idx) for deg, idx in sel.items()}
     ranks = {}
@@ -246,7 +247,7 @@ def top_cycle_basis(c: Complex, field: CoefficientField) -> Matrix:
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    _, boundaries = _chain_data(c)
+    _, boundaries, _ = _chain_data(c)
     k = kernel_basis(boundaries[c.dim], field)
     return _store(key, k)
 
@@ -259,7 +260,7 @@ def _relative_top_kernel(c: Complex, tau: tuple, field: CoefficientField):
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    _, boundaries = _chain_data(c)
+    _, boundaries, _ = _chain_data(c)
     sel = _superset_indices(c, tau)
     top = c.dim
     cols = sel[top]
@@ -323,21 +324,38 @@ def _cache_key_string(facets: tuple, field_label: str) -> str:
     return field_label + "|" + json.dumps(facets)
 
 
+def _betti_count() -> int:
+    """The number of Betti vectors in the cache."""
+    return sum(1 for key in list(_cache) if key[0] == "betti")
+
+
 def save_betti_cache(path) -> None:
-    """Write the Betti entries of the cache to a JSON file."""
-    data = {
+    """Write the Betti entries of the cache to a JSON file.
+
+    The file is written whole to a temporary file in the same directory,
+    which then replaces it, so a failed write leaves the old file intact.
+    """
+    text = json.dumps({  # one C-encoded string, not many chunks
         _cache_key_string(key[1], key[2]): list(bv.values)
         for key, bv in list(_cache.items()) if key[0] == "betti"
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data))  # one C-encoded string, not many chunks
+    })
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_betti_cache(path) -> int:
-    """Merge a saved cache file.  A missing or unparsable file loads
-    nothing, and an entry whose key does not parse is skipped.  Raises
-    ValueError if the file is not a JSON object or an entry is not a list
-    of non-negative ints of length max-facet-size + 1."""
+    """Merge a saved cache file and return how many distinct Betti
+    vectors it holds.  A missing or unparsable file loads nothing, and an
+    entry whose key does not parse is skipped.  Raises ValueError if the
+    file is not a JSON object or an entry is not a list of non-negative
+    ints of length max-facet-size + 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -345,7 +363,7 @@ def load_betti_cache(path) -> int:
         return 0
     if not isinstance(data, dict):
         raise ValueError(f"{path}: the Betti cache is not a JSON object")
-    loaded = 0
+    loaded = set()
     for key, values in data.items():
         try:
             label, _, facets_json = key.partition("|")
@@ -361,5 +379,5 @@ def load_betti_cache(path) -> int:
             raise ValueError(f"{path}: Betti cache entry {key!r} is not a list "
                              f"of {size} non-negative ints")
         _store(("betti", facets, label), BettiVector(tuple(values), field))
-        loaded += 1
-    return loaded
+        loaded.add((facets, label))
+    return len(loaded)

@@ -2,7 +2,10 @@
 
 Matrices carry integer or Fraction entries and are interpreted through a
 CoefficientField at elimination time, so the same matrix can be ranked over
-Q and over any F_p.  There is no floating point anywhere.
+Q and over any F_p.  There is no floating point anywhere.  A matrix is
+stored as the rows the elimination uses, {row: {column: value}}, so
+take_rows shares them and integer rows reach the elimination uncopied;
+the elimination never mutates them.
 
 One sparse elimination routine serves rank, rref and kernel_basis.  It
 works on rows stored as {column: int}.  Over Q each row is scaled to
@@ -17,9 +20,10 @@ unique, so results do not depend on the order rows are eliminated in.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class ShapeError(ValueError):
@@ -98,25 +102,62 @@ def GF(p: int) -> CoefficientField:
     return CoefficientField.prime(p)
 
 
-class Matrix:
-    """Immutable exact matrix with dict-of-keys storage.
+class _Entries(Mapping):
+    """Read-only {(i, j): v} view of a matrix's rows; its length costs one
+    len per row, not a copy of every entry."""
 
-    Entries are ints or Fractions; zeros are never stored.  Use
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict):
+        self._rows = rows
+
+    def __getitem__(self, key):
+        i, j = key
+        return self._rows[i][j]
+
+    def __iter__(self):
+        return ((i, j) for i, row in self._rows.items() for j in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class Matrix:
+    """Immutable exact matrix stored as its non-zero rows {i: {j: v}}.
+
+    Entries are ints or Fractions; zeros and empty rows are never stored.
+    Matrices may share row dicts, so nothing may mutate them.  Use
     :meth:`from_rows` for small literals.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = {}
+        self.rows = rows = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ShapeError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 if v != 0:
-                    self.entries[(i, j)] = v
+                    row = rows.get(i)
+                    if row is None:
+                        rows[i] = row = {}
+                    row[j] = v
+
+    @classmethod
+    def _of_rows(cls, nrows: int, ncols: int, rows: dict) -> "Matrix":
+        """A matrix over rows already in range, free of zeros and empty
+        rows; the rows are shared, not copied."""
+        m = object.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -135,71 +176,63 @@ class Matrix:
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
         return cls(nrows, ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+    @property
+    def entries(self) -> Mapping:
+        """The non-zero entries as a read-only {(i, j): v} mapping."""
+        return _Entries(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.rows
 
     def __getitem__(self, key):
-        return self.entries.get(key, 0)
+        i, j = key
+        return self.rows.get(i, {}).get(j, 0)
 
     def to_rows(self) -> list:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows,
-                      {(j, i): v for (i, j), v in self.entries.items()})
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                out[i][j] = v
+        return out
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Exact product over the integers/rationals (no field reduction)."""
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.ncols} cols vs {other.nrows} rows")
-        by_row: dict = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, []).append((k, v))
-        by_col: dict = {}
-        for (k, j), v in other.entries.items():
-            by_col.setdefault(k, []).append((j, v))
-        out: dict = {}
-        for i, row in by_row.items():
-            for k, v in row:
-                for j, w in by_col.get(k, ()):
-                    out[(i, j)] = out.get((i, j), 0) + v * w
-        return Matrix(self.nrows, other.ncols, out)
+        out = {}
+        for i, row in self.rows.items():
+            acc: dict = {}
+            for k, v in row.items():
+                for j, w in other.rows.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + v * w
+            acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                out[i] = acc
+        return Matrix._of_rows(self.nrows, other.ncols, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        rpos = {r: i for i, r in enumerate(row_idx)}
         cpos = {c: j for j, c in enumerate(col_idx)}
         out = {}
-        for (i, j), v in self.entries.items():
-            if i in rpos and j in cpos:
-                out[(rpos[i], cpos[j])] = v
-        return Matrix(len(row_idx), len(col_idx), out)
+        for i, r in enumerate(row_idx):
+            row = self.rows.get(r)
+            if row:
+                kept = {cpos[c]: v for c, v in row.items() if c in cpos}
+                if kept:
+                    out[i] = kept
+        return Matrix._of_rows(len(row_idx), len(col_idx), out)
 
     def take_rows(self, row_idx: Sequence[int]) -> "Matrix":
-        return self.submatrix(row_idx, range(self.ncols))
-
-    def augment(self, column: Sequence) -> "Matrix":
-        if len(column) != self.nrows:
-            raise ShapeError(f"column of length {len(column)} vs {self.nrows} rows")
-        out = dict(self.entries)
-        for i, v in enumerate(column):
-            if v != 0:
-                out[(i, self.ncols)] = v
-        return Matrix(self.nrows, self.ncols + 1, out)
+        rows = self.rows
+        out = {i: rows[r] for i, r in enumerate(row_idx) if r in rows}
+        return Matrix._of_rows(len(row_idx), self.ncols, out)
 
     def column(self, j: int) -> list:
-        return [self.entries.get((i, j), 0) for i in range(self.nrows)]
+        return [self[i, j] for i in range(self.nrows)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
@@ -213,28 +246,34 @@ class InvariantError(AssertionError):
     """An exact result failed a consistency check (also under python -O)."""
 
 
-def _int_rows(entries: dict, field: CoefficientField) -> dict:
+_INT = {int}
+
+
+def _integral(row: dict) -> dict:
+    """row times the lcm of its denominators, with int entries."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+
+
+def _int_rows(rows: dict, field: CoefficientField) -> dict:
     """The non-zero rows of a matrix as {row: {col: int}}.
 
-    Over Q each row is multiplied by the lcm of its denominators, which
-    keeps its span; over F_p the entries become residues in [1, p).
+    Over Q each row holding a Fraction is multiplied by the lcm of its
+    denominators, which keeps its span, and integer rows are passed
+    through uncopied; over F_p the entries become residues in [1, p).
     """
-    rows: dict = {}
-    for (i, j), v in entries.items():
-        row = rows.get(i)
-        if row is None:
-            rows[i] = row = {}
-        row[j] = v
     p = field.p
+    if p is None:
+        scaled = {i: _integral(row) for i, row in rows.items()
+                  if not _INT.issuperset(map(type, row.values()))}
+        return {**rows, **scaled} if scaled else rows
+    out = {}
     for i, row in rows.items():
-        if p is None:
-            if any(type(v) is not int for v in row.values()):
-                den = lcm(*(Fraction(v).denominator for v in row.values()))
-                rows[i] = {j: int(v * den) for j, v in row.items()}
-        else:
-            rows[i] = {j: r for j, v in row.items()
-                       if (r := v % p if type(v) is int else field.convert(v))}
-    return {i: row for i, row in rows.items() if row}
+        row = {j: r for j, v in row.items()
+               if (r := v % p if type(v) is int else field.convert(v))}
+        if row:
+            out[i] = row
+    return out
 
 
 def _eliminate(row: dict, prow: dict, col: int, p: int | None) -> dict:
@@ -266,11 +305,13 @@ def _echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
 
     Each row's smallest column is its pivot; over F_p the pivot entry is 1.
     With reduced=True every row is also zero in the other pivot columns,
-    so dividing each row by its pivot entry gives the RREF.
+    so dividing each row by its pivot entry gives the RREF.  The rows of
+    m are never mutated (matrices share them): every changed row is a new
+    dict, and a pivot row may be one of m's own rows.
     """
     p = field.p
     pivots: dict = {}
-    for row in _int_rows(m.entries, field).values():
+    for row in _int_rows(m.rows, field).values():
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -309,9 +350,8 @@ def rref(m: Matrix, field: CoefficientField):
     """
     rows = _rref_rows(m, field)
     pivots = sorted(rows)
-    entries = {(i, j): v for i, lead in enumerate(pivots)
-               for j, v in rows[lead].items()}
-    return pivots, Matrix(m.nrows, m.ncols, entries)
+    return pivots, Matrix._of_rows(
+        m.nrows, m.ncols, {i: rows[lead] for i, lead in enumerate(pivots)})
 
 
 def rank(m: Matrix, field: CoefficientField) -> int:
@@ -331,12 +371,13 @@ def kernel_basis(m: Matrix, field: CoefficientField) -> Matrix:
     position = {c: k for k, c in enumerate(free)}
     p = field.p
     one = Fraction(1) if p is None else 1
-    entries = {(c, k): one for k, c in enumerate(free)}
+    out = {c: {k: one} for k, c in enumerate(free)}
     for lead, row in rows.items():
-        for j, v in row.items():
-            if j != lead:
-                entries[(lead, position[j])] = -v if p is None else -v % p
-    result = Matrix(m.ncols, len(free), entries)
+        solved = {position[j]: -v if p is None else -v % p
+                  for j, v in row.items() if j != lead}
+        if solved:
+            out[lead] = solved
+    result = Matrix._of_rows(m.ncols, len(free), out)
     if len(rows) + result.ncols != m.ncols:
         raise InvariantError(
             f"rank {len(rows)} + nullity {result.ncols} != {m.ncols} columns")
@@ -355,11 +396,14 @@ def product_is_zero(a: Matrix, b: Matrix, field: CoefficientField) -> bool:
         raise ShapeError(f"{a.ncols} cols vs {b.nrows} rows")
     p = field.p
     a_by_col: dict = {}
-    for i, row in _int_rows(a.entries, field).items():
+    for i, row in _int_rows(a.rows, field).items():
         for k, v in row.items():
             a_by_col.setdefault(k, []).append((i, v))
-    b_cols = _int_rows({(j, k): v for (k, j), v in b.entries.items()}, field)
-    for col in b_cols.values():
+    b_by_col: dict = {}
+    for k, row in b.rows.items():
+        for j, v in row.items():
+            b_by_col.setdefault(j, {})[k] = v
+    for col in _int_rows(b_by_col, field).values():
         acc: dict = {}
         for k, w in col.items():
             for i, v in a_by_col.get(k, ()):
@@ -367,17 +411,3 @@ def product_is_zero(a: Matrix, b: Matrix, field: CoefficientField) -> bool:
         if any(s % p if p else s for s in acc.values()):
             return False
     return True
-
-
-def span_dim(vectors: Matrix, field: CoefficientField) -> int:
-    """Dimension of the column span."""
-    return rank(vectors, field)
-
-
-def span_contains(vectors: Matrix, v: Iterable, field: CoefficientField) -> bool:
-    """Exact membership of a vector in the column span."""
-    col = list(v)
-    if len(col) != vectors.nrows:
-        raise ShapeError(
-            f"vector of length {len(col)} vs {vectors.nrows} rows")
-    return rank(vectors, field) == rank(vectors.augment(col), field)

@@ -6,6 +6,10 @@ ranks/Betti numbers are recomputed with sympy's exact matrices, and the
 reduced row echelon form comes from the dense Fraction elimination bstar
 used before its integer routine, so agreement with the library is a
 genuine dual-route check.
+
+The matrix helpers at the end (identity, transpose, augment, span_dim,
+span_contains) are conveniences for the linalg tests, not oracles: they
+build on bstar's Matrix and rank.
 """
 
 import itertools
@@ -14,6 +18,8 @@ from fractions import Fraction
 import sympy
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
+
+from bstar import Matrix, ShapeError, rank
 
 
 def _key(v):
@@ -177,3 +183,37 @@ def oracle_kernel_basis(rows, ncols, p=None):
             if not field.is_zero(v):
                 entries[(pc, k)] = field.neg(v)
     return entries
+
+
+# -- matrix helpers used only by the tests -----------------------------------
+
+def identity(n):
+    return Matrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def transpose(m):
+    return Matrix(m.ncols, m.nrows,
+                  {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def augment(m, column):
+    """m with the given column appended on the right."""
+    if len(column) != m.nrows:
+        raise ShapeError(f"column of length {len(column)} vs {m.nrows} rows")
+    entries = dict(m.entries)
+    entries.update({(i, m.ncols): v for i, v in enumerate(column) if v != 0})
+    return Matrix(m.nrows, m.ncols + 1, entries)
+
+
+def span_dim(vectors, field):
+    """Dimension of the column span."""
+    return rank(vectors, field)
+
+
+def span_contains(vectors, v, field):
+    """Exact membership of a vector in the column span."""
+    col = list(v)
+    if len(col) != vectors.nrows:
+        raise ShapeError(
+            f"vector of length {len(col)} vs {vectors.nrows} rows")
+    return rank(vectors, field) == rank(augment(vectors, col), field)

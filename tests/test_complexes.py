@@ -7,13 +7,20 @@ from hypothesis import strategies as st
 from bstar import (ComplexError, FaceNotPresentError,
                    LabelCollisionError, MalformedFaceError,
                    UnknownVertexError, as_face, build, cross_polytope,
-                   multi_point_join, simplex, simplex_boundary)
+                   f_vector, multi_point_join, named, simplex,
+                   simplex_boundary)
+from bstar.complexes import face_key
 
 from oracles import downward_closure, oracle_f_vector
 
 small_faces = st.sets(st.integers(0, 6), min_size=1, max_size=4)
 facet_lists = st.lists(small_faces, min_size=1, max_size=8)
 complexes = facet_lists.map(build)
+# int and str labels together, as in the suspended_hexagon fixture
+mixed_facet_lists = st.lists(
+    st.sets(st.sampled_from([1, 2, 3, 4, 5, 6, "n", "s"]),
+            min_size=1, max_size=4),
+    min_size=1, max_size=8)
 
 
 def test_build_triangle_boundary(triangle_boundary):
@@ -192,6 +199,30 @@ def test_f_vector_matches_bruteforce(fl):
     c = build(fl)
     counts = tuple(len(c.faces_of_dim(k)) for k in range(-1, c.dim + 1))
     assert counts == oracle_f_vector(c.facets)
+    assert f_vector(c) == counts
+
+
+def _link_by_build(c, tau):
+    return build([tuple(v for v in f if v not in tau)
+                  for f in c.facets if set(tau).issubset(f)])
+
+
+@given(mixed_facet_lists, st.data())
+def test_link_facets_equal_rebuilt_link(fl, data):
+    # link skips build: its stripped facets must already be canonical
+    c = build(fl)
+    faces = sorted(c.faces(), key=face_key)
+    for tau in ((), data.draw(st.sampled_from(c.facets)),
+                data.draw(st.sampled_from(faces))):
+        link = c.link(tau)
+        assert link.facets == _link_by_build(c, tau).facets
+        assert link.dim == _link_by_build(c, tau).dim
+
+
+def test_link_facets_equal_rebuilt_link_on_suspended_hexagon():
+    c = named("suspended_hexagon")
+    for tau in c.faces():
+        assert c.link(tau).facets == _link_by_build(c, tau).facets
 
 
 @given(facet_lists, st.sets(st.integers(0, 6), max_size=3))

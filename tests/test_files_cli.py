@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 
-from bstar import (ComplexFile, ComplexFileError, build, cross_polytope,
-                   emit, emit_text, parse, parse_text)
+from bstar import (ComplexFile, ComplexFileError, build, clear_caches,
+                   cross_polytope, emit, emit_text, parse, parse_text)
 from bstar.cli import main, parse_field
 from bstar.linalg import GF2, GF3, QQ
 
@@ -142,6 +143,33 @@ def test_cli_cache_dir(tmp_path, capsys, monkeypatch):
     assert (cache / "betti.json").exists()
     saved = json.loads((cache / "betti.json").read_text())
     assert any(key.startswith("Q|") for key in saved)
+    capsys.readouterr()
+
+
+def test_cli_cache_file_rewritten_only_when_it_lacks_vectors(
+        tmp_path, capsys, monkeypatch):
+    octa = tmp_path / "octa.json"
+    main(["construct", "cross-polytope", "3", "-o", str(octa)])
+    tetra = tmp_path / "tetra.json"
+    main(["construct", "simplex", "3", "-o", str(tetra)])
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
+    saved = cache / "betti.json"
+    argv = ["check", "buchsbaum-star", str(octa), "--field", "q"]
+    assert main(argv) == 0
+    content = saved.read_bytes()
+    os.utime(saved, ns=(10**18, 10**18))
+    # the same command again, warm and then cold as in a new process
+    assert main(argv) == 0
+    clear_caches()
+    assert main(argv) == 0
+    assert saved.read_bytes() == content
+    assert saved.stat().st_mtime_ns == 10**18
+    # a command that computes a new vector rewrites the file
+    assert main(["homology", str(tetra), "--field", "q"]) == 0
+    assert saved.stat().st_mtime_ns != 10**18
+    assert set(json.loads(saved.read_bytes())) > set(json.loads(content))
+    assert sorted(os.listdir(cache)) == ["betti.json"]
     capsys.readouterr()
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,21 @@ def test_cache_save_load_roundtrip(tmp_path, octahedron):
     loaded = load_betti_cache(path)
     assert loaded >= 1
     assert tuple(reduced_betti(octahedron, QQ)) == (0, 0, 0, 1)
+
+
+def test_failed_cache_write_keeps_old_file(tmp_path, monkeypatch, octahedron):
+    reduced_betti(octahedron, QQ)
+    path = tmp_path / "betti.json"
+    path.write_text("{}")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_betti_cache(path)
+    assert path.read_text() == "{}"
+    assert os.listdir(tmp_path) == ["betti.json"]
 
 
 def test_concurrent_betti_queries_agree(octahedron):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from bstar import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
                    Matrix, ShapeError, chain_complex, corpus, kernel_basis,
-                   rank, rref, span_contains, span_dim)
+                   rank, rref)
 from bstar import linalg
 from bstar.linalg import product_is_zero
 
-from oracles import oracle_kernel_basis, oracle_rank, oracle_rref
+from oracles import (identity, oracle_kernel_basis, oracle_rank, oracle_rref,
+                     span_contains, span_dim, transpose)
 
 FIELDS = ((QQ, None), (GF2, 2), (GF3, 3), (GF(5), 5))
 
@@ -49,8 +50,8 @@ def test_field_conversion():
 
 def test_rank_identity_and_scalars():
     for n in (1, 3, 5):
-        assert rank(Matrix.identity(n), QQ) == n
-        assert rank(Matrix.identity(n), GF2) == n
+        assert rank(identity(n), QQ) == n
+        assert rank(identity(n), GF2) == n
     two = Matrix.from_rows([[2]])
     assert rank(two, QQ) == 1
     assert rank(two, GF2) == 0
@@ -94,7 +95,7 @@ def test_span_dim_and_contains():
 @given(int_matrices)
 def test_rank_equals_transpose_rank(m):
     for f in (QQ, GF2, GF3):
-        assert rank(m, f) == rank(m.transpose(), f)
+        assert rank(m, f) == rank(transpose(m), f)
 
 
 @given(int_matrices)
@@ -131,6 +132,63 @@ fraction_matrices = st.integers(0, 6).flatmap(
                 lambda rows: Matrix(nrows, ncols, {
                     (i, j): Fraction(v) for i, row in enumerate(rows)
                     for j, v in enumerate(row) if v != 0}))))
+
+
+# (nrows, ncols, entries) with int and Fraction values, zeros included,
+# so that all-int rows, Fraction rows and empty rows all come up.
+entry_dicts = st.integers(0, 6).flatmap(
+    lambda nrows: st.integers(0, 6).flatmap(
+        lambda ncols: st.tuples(
+            st.just(nrows), st.just(ncols),
+            st.dictionaries(
+                st.tuples(st.integers(0, max(nrows - 1, 0)),
+                          st.integers(0, max(ncols - 1, 0))),
+                st.one_of(st.just(0), st.integers(-3, 3),
+                          st.fractions(max_denominator=6)),
+                max_size=nrows * ncols))))
+
+
+@given(entry_dicts, st.data())
+def test_row_storage_matches_entry_reference(shape_entries, data):
+    nrows, ncols, entries = shape_entries
+    ref = {key: v for key, v in entries.items() if v != 0}
+    m = Matrix(nrows, ncols, entries)
+    assert m.entries == ref
+    assert all(row for row in m.rows.values())
+    with pytest.raises(TypeError):
+        m.entries[(0, 0)] = 1
+    row_idx = data.draw(st.permutations(range(nrows)))[
+        :data.draw(st.integers(0, nrows))]
+    col_idx = data.draw(st.permutations(range(ncols)))[
+        :data.draw(st.integers(0, ncols))]
+    sub = m.submatrix(row_idx, col_idx)
+    assert (sub.nrows, sub.ncols) == (len(row_idx), len(col_idx))
+    assert sub.entries == {
+        (a, b): ref[(r, c)] for a, r in enumerate(row_idx)
+        for b, c in enumerate(col_idx) if (r, c) in ref}
+    taken = m.take_rows(row_idx)
+    assert (taken.nrows, taken.ncols) == (len(row_idx), ncols)
+    assert taken.entries == {(a, c): v for a, r in enumerate(row_idx)
+                             for (i, c), v in ref.items() if i == r}
+    assert all(taken.rows[a] is m.rows[r]
+               for a, r in enumerate(row_idx) if r in m.rows)
+
+
+@given(entry_dicts)
+def test_elimination_leaves_input_rows_unchanged(shape_entries):
+    nrows, ncols, entries = shape_entries
+    m = Matrix(nrows, ncols, entries)
+    for matrix in (m, m.take_rows(range(nrows - 1, -1, -1))):
+        before = {i: (row, dict(row)) for i, row in matrix.rows.items()}
+        for field in (QQ, GF2, GF3):
+            for routine in (rank, rref, kernel_basis):
+                try:
+                    routine(matrix, field)
+                except ZeroDivisionError:  # a denominator vanishes mod p
+                    pass
+                assert matrix.rows.keys() == before.keys()
+                assert all(matrix.rows[i] is row and row == copy
+                           for i, (row, copy) in before.items())
 
 
 def assert_matches_oracle(m, field, p):
