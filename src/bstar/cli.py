@@ -2,8 +2,11 @@
 
 Exit codes: 0 when everything passes (or a queried property holds), 1 when
 a suite or property check fails, 2 for usage and parse errors.  Set
-BSTAR_CACHE_DIR to persist computed Betti numbers between invocations;
-the file there is rewritten, atomically, only when it lacks some of them.
+BSTAR_CACHE_DIR to persist, in betti.json there, the Betti vectors of the
+complexes read from command files between invocations; the vectors of the
+links a predicate computes are not kept.  The file is rewritten,
+atomically, only when it is missing or lacks a vector of the command's
+complex, and a failed write exits 2.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_vectors(args) -> int:
-    cf = parse(args.file)
+    cf = args.complex_file
     fv = FaceVectors.compute(cf.complex, args.field)
     if args.json:
         out = {
@@ -109,7 +112,7 @@ def _cmd_vectors(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    cf = parse(args.file)
+    cf = args.complex_file
     betti = homology.reduced_betti(cf.complex, args.field)
     if args.json:
         print(json.dumps({"field": args.field.label,
@@ -134,7 +137,7 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
-    cf = parse(args.file)
+    cf = args.complex_file
     cx = cf.complex
     if args.property == "balanced":
         result = find_balanced_coloring(cx)
@@ -180,7 +183,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rank_select(args) -> int:
-    cf = parse(args.file)
+    cf = args.complex_file
     coloring = cf.coloring
     if coloring is None:
         coloring = find_balanced_coloring(cf.complex)
@@ -305,23 +308,25 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_dir = os.environ.get("BSTAR_CACHE_DIR")
-    cache_file = None
+    held = {}   # the entries of the cache file
+    read = []   # the facets of the complex the command reads
     try:
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             path = os.path.join(cache_dir, "betti.json")
-            on_disk = homology.load_betti_cache(path)
-            cache_file = path  # a file that failed to load is left as it is
+            homology.load_betti_cache(path, held)
+        if "file" in args:
+            args.complex_file = parse(args.file)
+            read.append(args.complex_file.complex.facets)
         code = args.func(args)
+        # a cache file that failed to load, or a command that raised, is
+        # left as it is; link vectors stay in memory
+        if cache_dir:
+            homology.save_betti_cache(path, read, held)
     except (ComplexFileError, ComplexError, ColoringError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # the cache now holds every vector of the file, so the file is
-        # rewritten only if the cache holds more
-        if cache_file and homology._betti_count() > on_disk:
-            homology.save_betti_cache(cache_file)
     return code
 
 

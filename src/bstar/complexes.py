@@ -158,8 +158,15 @@ class Complex:
             out.extend(self._faces_by_dim().get(k, ()))
         return out
 
+    def canonical_face(self, face: Iterable[Label]) -> Face:
+        """as_face(face), but a tuple that is a face of the complex, and so
+        already canonical, is returned as it is."""
+        if type(face) is tuple and face in self.faces():
+            return face
+        return as_face(face)
+
     def has_face(self, face: Iterable[Label]) -> bool:
-        return as_face(face) in self.faces()
+        return self.canonical_face(face) in self.faces()
 
     # -- face-level operators ----------------------------------------------
 
@@ -169,7 +176,7 @@ class Complex:
         The facets of the link are the facets containing tau with tau
         removed, already canonical, so no re-canonicalisation is needed.
         """
-        t = as_face(face)
+        t = self.canonical_face(face)
         if t not in self.faces():
             raise FaceNotPresentError(f"{t!r} is not a face")
         ts = set(t)
@@ -185,7 +192,7 @@ class Complex:
 
     def contrastar(self, face: Iterable[Label]) -> "Complex":
         """cost(tau): the faces that do not contain tau (tau non-empty)."""
-        t = as_face(face)
+        t = self.canonical_face(face)
         if not t:
             raise ComplexError("contrastar of the empty face is undefined")
         if t not in self.faces():

@@ -32,7 +32,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 
-from .complexes import Complex, FaceNotPresentError, NotPureError, as_face
+from .complexes import Complex, FaceNotPresentError, NotPureError
 from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
                      rank)
 
@@ -232,7 +232,7 @@ def relative_betti(c: Complex, tau, i: int, field: CoefficientField) -> int:
 
 
 def _checked_face(c: Complex, tau) -> tuple:
-    t = as_face(tau)
+    t = c.canonical_face(tau)
     if not t:
         raise ValueError("the empty face is not allowed here")
     if t not in c.faces():
@@ -295,8 +295,8 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
     means the absolute top homology)."""
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
-    s = as_face(sigma)
-    t = as_face(tau)
+    s = c.canonical_face(sigma)
+    t = c.canonical_face(tau)
     if not set(s).issubset(t):
         raise ValueError(f"{s!r} is not a subset of {t!r}")
     if t not in c.faces():
@@ -324,20 +324,30 @@ def _cache_key_string(facets: tuple, field_label: str) -> str:
     return field_label + "|" + json.dumps(facets)
 
 
-def _betti_count() -> int:
-    """The number of Betti vectors in the cache."""
-    return sum(1 for key in list(_cache) if key[0] == "betti")
+def save_betti_cache(path, complexes=None, held=None) -> None:
+    """Write Betti vectors of the cache to a JSON file.
 
-
-def save_betti_cache(path) -> None:
-    """Write the Betti entries of the cache to a JSON file.
+    With ``complexes`` None, every Betti vector of the cache is written.
+    Otherwise ``complexes`` lists the facets of complexes, and the file
+    gets the entries of ``held`` (as filled by :func:`load_betti_cache`)
+    and the cache's vectors of those complexes, and is written only if it
+    is missing or lacks one of those vectors.  The vectors of links and
+    other complexes a predicate computes on the way are not written.
 
     The file is written whole to a temporary file in the same directory,
     which then replaces it, so a failed write leaves the old file intact.
     """
+    wanted = None if complexes is None else set(complexes)
+    entries = {(key[1], key[2]): bv for key, bv in list(_cache.items())
+               if key[0] == "betti" and (wanted is None or key[1] in wanted)}
+    if wanted is not None:
+        held = held or {}
+        if entries.keys() <= held.keys() and os.path.exists(path):
+            return
+        entries = {**held, **entries}
     text = json.dumps({  # one C-encoded string, not many chunks
-        _cache_key_string(key[1], key[2]): list(bv.values)
-        for key, bv in list(_cache.items()) if key[0] == "betti"
+        _cache_key_string(facets, label): list(bv.values)
+        for (facets, label), bv in entries.items()
     })
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
@@ -350,12 +360,13 @@ def save_betti_cache(path) -> None:
         raise
 
 
-def load_betti_cache(path) -> int:
-    """Merge a saved cache file and return how many distinct Betti
-    vectors it holds.  A missing or unparsable file loads nothing, and an
-    entry whose key does not parse is skipped.  Raises ValueError if the
-    file is not a JSON object or an entry is not a list of non-negative
-    ints of length max-facet-size + 1."""
+def load_betti_cache(path, held=None) -> int:
+    """Merge a saved cache file into the cache and return how many
+    distinct Betti vectors it holds; a dict passed as ``held`` also gets
+    them, keyed ``(facets, field label)``.  A missing or unparsable file
+    loads nothing, and an entry whose key does not parse is skipped.
+    Raises ValueError if the file is not a JSON object or an entry is not
+    a list of non-negative ints of length max-facet-size + 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -363,7 +374,7 @@ def load_betti_cache(path) -> int:
         return 0
     if not isinstance(data, dict):
         raise ValueError(f"{path}: the Betti cache is not a JSON object")
-    loaded = set()
+    loaded = {}
     for key, values in data.items():
         try:
             label, _, facets_json = key.partition("|")
@@ -378,6 +389,8 @@ def load_betti_cache(path) -> int:
                 and set(map(type, values)) == {int} and min(values) >= 0):
             raise ValueError(f"{path}: Betti cache entry {key!r} is not a list "
                              f"of {size} non-negative ints")
-        _store(("betti", facets, label), BettiVector(tuple(values), field))
-        loaded.add((facets, label))
+        loaded[facets, label] = _store(("betti", facets, label),
+                                       BettiVector(tuple(values), field))
+    if held is not None:
+        held.update(loaded)
     return len(loaded)

@@ -84,6 +84,38 @@ def test_link_requires_membership(triangle_boundary):
         triangle_boundary.link((1, 2, 3))
 
 
+def test_canonical_face_takes_faces_as_they_are():
+    hexagon = named("suspended_hexagon")
+    for face in hexagon.faces():
+        assert hexagon.canonical_face(face) is face
+    # other inputs go through as_face
+    assert hexagon.canonical_face(["n", 2, 1]) == (1, 2, "n")
+    assert hexagon.canonical_face(("s", 6)) == (6, "s")
+    assert hexagon.canonical_face((1, 2, 3)) == (1, 2, 3)  # not a face
+    with pytest.raises(MalformedFaceError):
+        hexagon.canonical_face(["n", 1, "n"])
+    with pytest.raises(MalformedFaceError):
+        hexagon.canonical_face((1, 1))
+
+
+def test_face_operators_accept_any_vertex_order():
+    hexagon = named("suspended_hexagon")
+    assert hexagon.link(["n", 1]) == hexagon.link((1, "n"))
+    assert hexagon.link(("n", 1)).facets == ((2,), (6,))
+    assert hexagon.contrastar(["n", 1]) == hexagon.contrastar((1, "n"))
+    assert hexagon.has_face(["s", 6]) and not hexagon.has_face(("s", "n"))
+    for bad in (["n", 1, "n"], (1, 1)):
+        with pytest.raises(MalformedFaceError):
+            hexagon.link(bad)
+        with pytest.raises(MalformedFaceError):
+            hexagon.contrastar(bad)
+    for absent in (("n", "s"), ["s", "n"], (1, 3), [3, 1, "n"]):
+        with pytest.raises(FaceNotPresentError):
+            hexagon.link(absent)
+        with pytest.raises(FaceNotPresentError):
+            hexagon.contrastar(absent)
+
+
 def test_contrastar_triangle(triangle_boundary):
     c = triangle_boundary.contrastar((1,))
     assert c.faces() == frozenset({(), (2,), (3,), (2, 3)})

@@ -4,7 +4,8 @@ import os
 import pytest
 
 from bstar import (ComplexFile, ComplexFileError, build, clear_caches,
-                   cross_polytope, emit, emit_text, parse, parse_text)
+                   cross_polytope, emit, emit_text, homology, parse,
+                   parse_text)
 from bstar.cli import main, parse_field
 from bstar.linalg import GF2, GF3, QQ
 
@@ -171,6 +172,94 @@ def test_cli_cache_file_rewritten_only_when_it_lacks_vectors(
     assert set(json.loads(saved.read_bytes())) > set(json.loads(content))
     assert sorted(os.listdir(cache)) == ["betti.json"]
     capsys.readouterr()
+
+
+def _facets_of(path):
+    return json.dumps(parse(path).complex.facets)
+
+
+@pytest.mark.parametrize("prop", ["cm", "buchsbaum-star"])
+def test_cli_cache_file_keeps_only_the_files_complex(tmp_path, capsys,
+                                                     monkeypatch, prop):
+    octa = tmp_path / "octa.json"
+    main(["construct", "cross-polytope", "3", "-o", str(octa)])
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
+    clear_caches()
+    assert main(["check", prop, str(octa), "--field", "q"]) == 0
+    saved = json.loads((cache / "betti.json").read_text())
+    # the link vectors the check computed stay in memory only
+    assert all(key.partition("|")[2] == _facets_of(octa) for key in saved)
+    assert len(saved) == (1 if prop == "cm" else 0)
+    capsys.readouterr()
+
+
+def test_cli_cold_homology_is_answered_from_the_file(tmp_path, capsys,
+                                                     monkeypatch):
+    octa = tmp_path / "octa.json"
+    main(["construct", "cross-polytope", "3", "-o", str(octa)])
+    monkeypatch.setenv("BSTAR_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["homology", str(octa), "--field", "q", "--json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    clear_caches()
+
+    def no_ranks(c, field):
+        raise AssertionError("recomputed a vector held by the file")
+
+    monkeypatch.setattr(homology, "_boundary_ranks", no_ranks)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_cli_cache_rewrite_keeps_other_complexes(tmp_path, capsys,
+                                                 monkeypatch):
+    # one entry for a tetrahedron boundary, one for a complex of no file
+    content = ('{"Q|[[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]": [0, 0, 0, 1],'
+               ' "F2|[[7, 8]]": [0, 0, 0]}')
+    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
+                                            content)
+    assert (code, err) == (0, "")
+    saved = json.loads(after)
+    assert len(saved) == 3
+    assert saved["Q|[[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]"] == [0, 0, 0, 1]
+    assert saved["F2|[[7, 8]]"] == [0, 0, 0]
+    assert saved["Q|" + _facets_of(tmp_path / "octa.json")] == [0, 0, 0, 1]
+
+
+def test_cli_cache_file_stays_small(tmp_path, capsys, monkeypatch):
+    files = []
+    for family, params in (("cross-polytope", ["3"]), ("simplex", ["3"]),
+                           ("named", ["rp2_min"])):
+        files.append(tmp_path / f"{family}.json")
+        main(["construct", family, *params, "-o", str(files[-1])])
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
+    clear_caches()
+    for path in files:
+        for field in ("q", "f2"):
+            for command in (["vectors"], ["homology"], ["check", "cm"],
+                            ["check", "buchsbaum-star"]):
+                assert main([*command, str(path), "--field", field]) in (0, 1)
+    saved = json.loads((cache / "betti.json").read_text())
+    assert len(saved) <= 6
+    assert {key.partition("|")[2] for key in saved} == {
+        _facets_of(path) for path in files}
+    capsys.readouterr()
+
+
+def test_cli_failed_cache_write_is_an_error(tmp_path, capsys, monkeypatch):
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
+                                            "{}")
+    assert code == 2 and after == "{}"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No space left on device" in err
+    assert sorted(os.listdir(tmp_path / "cache")) == ["betti.json"]
 
 
 def _run_with_cache_file(tmp_path, capsys, monkeypatch, content):

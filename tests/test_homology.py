@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bstar import (GF2, GF3, QQ, BettiVector, FaceNotPresentError,
-                   InvariantError, build, chain_complex, clear_caches, fixture,
-                   fixture_names, pair_restriction_surjective, reduced_betti,
-                   relative_betti, relative_betti_vector, simplex,
-                   top_restriction_surjective)
+                   InvariantError, MalformedFaceError, build, chain_complex,
+                   clear_caches, fixture, fixture_names,
+                   pair_restriction_surjective, reduced_betti, relative_betti,
+                   relative_betti_vector, simplex, top_restriction_surjective)
 from bstar import homology
 from bstar.homology import load_betti_cache, save_betti_cache
 
@@ -145,6 +145,37 @@ def test_pair_restriction(octahedron, rp2):
     assert not pair_restriction_surjective(rp2, (), (1,), QQ)
     with pytest.raises(ValueError):
         pair_restriction_surjective(octahedron, ("x1",), ("x2", "x3"), QQ)
+
+
+def test_restriction_maps_accept_any_vertex_order():
+    hexagon = fixture("suspended_hexagon").complex
+    for field in (QQ, GF2):
+        assert (relative_betti_vector(hexagon, ["n", 1], field)
+                == relative_betti_vector(hexagon, (1, "n"), field))
+        assert (top_restriction_surjective(hexagon, ["n", 2, 1], field)
+                == top_restriction_surjective(hexagon, (1, 2, "n"), field))
+        assert (pair_restriction_surjective(hexagon, ["n"], ("n", 1), field)
+                == pair_restriction_surjective(hexagon, ("n",), (1, "n"),
+                                               field))
+    for bad in (["n", 1, "n"], (1, 1)):
+        with pytest.raises(MalformedFaceError):
+            relative_betti_vector(hexagon, bad, QQ)
+        with pytest.raises(MalformedFaceError):
+            top_restriction_surjective(hexagon, bad, QQ)
+        with pytest.raises(MalformedFaceError):
+            pair_restriction_surjective(hexagon, (1,), bad, QQ)
+        with pytest.raises(MalformedFaceError):
+            pair_restriction_surjective(hexagon, bad, (1, 2, "n"), QQ)
+    for absent in (("n", "s"), ["s", "n"], (1, 3), [3, 1, "n"]):
+        with pytest.raises(FaceNotPresentError):
+            relative_betti_vector(hexagon, absent, QQ)
+        with pytest.raises(FaceNotPresentError):
+            top_restriction_surjective(hexagon, absent, QQ)
+        with pytest.raises(FaceNotPresentError):
+            pair_restriction_surjective(hexagon, (), absent, QQ)
+    # sigma must lie in tau, whatever its vertex order
+    with pytest.raises(ValueError, match="not a subset"):
+        pair_restriction_surjective(hexagon, ["s", 1], (1, "n"), QQ)
 
 
 @settings(max_examples=25)
