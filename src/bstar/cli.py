@@ -12,6 +12,7 @@ complex, and a failed write exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -304,9 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     cache_dir = os.environ.get("BSTAR_CACHE_DIR")
     held = {}   # the entries of the cache file
     read = []   # the facets of the complex the command reads
@@ -323,8 +329,8 @@ def main(argv=None) -> int:
         # left as it is; link vectors stay in memory
         if cache_dir:
             homology.save_betti_cache(path, read, held)
-    except (ComplexFileError, ComplexError, ColoringError, ValueError,
-            OSError) as exc:
+    except (ComplexFileError, ComplexError, ColoringError, ConstructionError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

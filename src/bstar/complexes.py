@@ -7,6 +7,13 @@ lexicographic order (integers before strings).  Complexes are immutable
 after construction, so every operation returns a fresh canonical complex
 and may be evaluated concurrently without coordination.
 
+Each complex also has an index form: its facets with every vertex replaced
+by its position in ``vertices``.  It is again canonical, and two complexes
+have the same index form exactly when an order-preserving relabelling
+takes one to the other.  ``link`` and ``delete`` work on vertex positions
+and bitmasks (bit i for the i-th vertex) and hand their result its vertices
+and index form, so no labels are sorted again.
+
 The void complex (no faces at all) is distinct from the empty complex
 ``{()}`` whose only face is the empty face.
 """
@@ -88,19 +95,24 @@ class Complex:
     """Immutable simplicial complex given by canonical facets.
 
     Use :func:`build` rather than the constructor; the constructor assumes
-    its argument is already canonical (sorted, pairwise incomparable).
+    its argument is already canonical (sorted, pairwise incomparable), and
+    that ``vertices`` and ``index``, when given, are those of the facets.
     """
 
-    __slots__ = ("facets", "dim", "_vertices", "_faces", "_by_dim", "_hash")
+    __slots__ = ("facets", "dim", "_vertices", "_faces", "_by_dim", "_hash",
+                 "_index", "_masks", "_pos")
 
-    def __init__(self, facets: tuple):
+    def __init__(self, facets: tuple, vertices=None, index=None):
         self.facets = facets
         # dimension (max facet dimension); None for the void complex
         self.dim = max(map(len, facets)) - 1 if facets else None
-        self._vertices = None
+        self._vertices = vertices
         self._faces = None
         self._by_dim = None
         self._hash = None
+        self._index = index
+        self._masks = None
+        self._pos = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -124,6 +136,36 @@ class Complex:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @property
+    def index_form(self) -> tuple:
+        """The facets with each vertex replaced by its position in
+        ``vertices``: the same tuple for every order-preserving relabelling
+        of the complex, and itself canonical."""
+        if self._index is None:
+            pos = self._positions()
+            self._index = tuple(tuple(map(pos.__getitem__, f))
+                                for f in self.facets)
+        return self._index
+
+    def _positions(self) -> dict:
+        if self._pos is None:
+            self._pos = {v: i for i, v in enumerate(self.vertices)}
+        return self._pos
+
+    def _facet_masks(self) -> tuple:
+        if self._masks is None:
+            self._masks = tuple(sum(1 << i for i in f) for f in self.index_form)
+        return self._masks
+
+    def vertex_mask(self, face: Iterable[Label]) -> int:
+        """The bitmask of the given vertices of the complex: bit i for the
+        vertex at position i of ``vertices``."""
+        pos = self._positions()
+        mask = 0
+        for v in face:
+            mask |= 1 << pos[v]
+        return mask
 
     def faces(self) -> frozenset:
         """The full face set (downward closure of the facets)."""
@@ -179,16 +221,21 @@ class Complex:
         t = self.canonical_face(face)
         if t not in self.faces():
             raise FaceNotPresentError(f"{t!r} is not a face")
-        ts = set(t)
+        tm = self.vertex_mask(t)
         # f - tau <= g - tau with tau in f and g would give f <= g, so the
         # stripped facets stay pairwise incomparable.  They also keep their
-        # lexicographic order, mixed int/str labels included.  Let f < g
-        # contain tau and first differ at position k.  Then f[k] is not in
-        # tau (g, sorted, has no room for it), and g - tau has a vertex
-        # beyond the common prefix (else g <= f), larger than f[k]; so the
-        # order of f - tau and g - tau is decided at f[k], as before.
-        return Complex(tuple(tuple(v for v in f if v not in ts)
-                             for f in self.facets if ts.issubset(f)))
+        # lexicographic order.  Let f < g contain tau and first differ at
+        # position k.  Then f[k] is not in tau (g, sorted, has no room for
+        # it), and g - tau has a vertex beyond the common prefix (else
+        # g <= f), larger than f[k]; so the order of f - tau and g - tau is
+        # decided at f[k], as before.
+        containing = []
+        rest = 0
+        for f, m in zip(self.index_form, self._facet_masks()):
+            if m & tm == tm:
+                containing.append(f)
+                rest |= m
+        return self._induced(containing, rest & ~tm)
 
     def contrastar(self, face: Iterable[Label]) -> "Complex":
         """cost(tau): the faces that do not contain tau (tau non-empty)."""
@@ -212,8 +259,36 @@ class Complex:
         if unknown:
             raise UnknownVertexError(
                 f"not vertices of the complex: {sorted(unknown, key=label_key)!r}")
-        gens = [tuple(v for v in f if v not in rem) for f in self.facets]
-        return build(gens)
+        rm = self.vertex_mask(rem)
+        stripped = {}
+        for f, m in zip(self.index_form, self._facet_masks()):
+            m &= ~rm
+            if m not in stripped:
+                stripped[m] = f
+        maximal = sorted(tuple(i for i in f if not rm >> i & 1)
+                         for m, f in stripped.items()
+                         if not any(m != g and m & g == m for g in stripped))
+        rest = 0
+        for m in stripped:
+            rest |= m
+        return self._induced(maximal, rest)
+
+    def _induced(self, index_facets: list, mask: int) -> "Complex":
+        """The complex on the vertices whose bits are set in ``mask``, with
+        the given facets (tuples of positions in this complex) cut down to
+        those vertices; the cut-down facets must be canonical and ordered."""
+        remap = [-1] * len(self.vertices)
+        vertices = []
+        for i, v in enumerate(self.vertices):
+            if mask >> i & 1:
+                remap[i] = len(vertices)
+                vertices.append(v)
+        vertices = tuple(vertices)
+        kept, new = (-1).__lt__, remap.__getitem__
+        index = tuple([tuple(filter(kept, map(new, f))) for f in index_facets])
+        label = vertices.__getitem__
+        facets = tuple([tuple(map(label, f)) for f in index])
+        return Complex(facets, vertices, index)
 
     def join(self, other: "Complex") -> "Complex":
         """Simplicial join; vertex sets must be disjoint."""

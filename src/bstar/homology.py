@@ -12,15 +12,24 @@ coordinate projections at chain level, never routed through the
 link-shift isomorphism, which therefore stays available as an independent
 cross-check.
 
-Results live in one cache keyed ``(kind, facets, ...)`` by the canonical
-facet encoding: chain data per complex; per complex and field the Betti
-vectors, top cycle bases and the Cohen-Macaulay reports of
-:mod:`bstar.properties`; per face tau and field the quotient-complex
-ranks and top kernel (with the rows of the facets containing tau).  Each
-entry is a deterministic function of its key.  Under one lock, insertion
-keeps the first value stored for a key, so concurrent identical queries
-get one object, and a full cache (CACHE_LIMIT entries) drops its oldest
-quarter, which costs only recomputation.
+Results live in one cache keyed ``(kind, index form, ...)``, where the
+index form of a complex is its facets with each vertex replaced by its
+position in the sorted vertex list (:attr:`Complex.index_form`): chain
+data per complex; per complex and field the Betti vectors, top cycle
+bases and the first Cohen-Macaulay violations found by
+:mod:`bstar.properties`; per face tau, given as a bitmask of vertex
+positions, and field the quotient-complex ranks and top kernel (with the
+rows of the facets containing tau).  Complexes that differ by an
+order-preserving relabelling share every entry, and that is exact: such
+a relabelling keeps the lexicographic order of the faces and every
+boundary sign, which depend only on vertex positions, so the bases,
+matrices, ranks, kernel bases and first violations are the same.  No
+entry holds a label; faces are mapped back through the vertices of the
+complex asked about.  Each entry is a deterministic function of its key.
+Under one lock, insertion keeps the first value stored for a key, so
+concurrent identical queries get one object, and a full cache
+(CACHE_LIMIT entries) drops its oldest quarter, which costs only
+recomputation.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import os
 import threading
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 from .complexes import Complex, FaceNotPresentError, NotPureError
 from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
@@ -112,20 +121,29 @@ class ChainComplexOverField:
 
 
 def _chain_data(c: Complex):
-    """Bases, integer boundary matrices and, per basis face, its vertex
-    bitmask (bit i for the i-th vertex of c), cached per complex."""
-    key = ("chain", c.facets)
+    """Boundary matrices over the integers and, per degree, the vertex
+    bitmask of each basis face (bit i for the i-th vertex of c), cached
+    per index form; the bases are the faces of each dimension in
+    lexicographic order."""
+    key = ("chain", c.index_form)
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    top = c.dim
-    bases = [tuple(c.faces_of_dim(k)) for k in range(-1, top + 1)]
-    bit = {v: 1 << i for i, v in enumerate(c.vertices)}
+    faces = set()
+    for f in c.index_form:
+        for k in range(len(f) + 1):
+            faces.update(combinations(f, k))
+    bases = [[] for _ in range(c.dim + 2)]
+    for face in faces:
+        bases[len(face)].append(face)
+    for basis in bases:
+        basis.sort()
+    bit = [1 << i for i in range(c.n_vertices)]
     masks = tuple(tuple(sum(map(bit.__getitem__, face)) for face in basis)
                   for basis in bases)
     index = [{face: i for i, face in enumerate(b)} for b in bases]
     boundaries = []
-    for degree in range(0, top + 1):
+    for degree in range(0, c.dim + 1):
         cols = bases[degree + 1]
         rows_idx = index[degree]
         entries = {}
@@ -137,19 +155,20 @@ def _chain_data(c: Complex):
     for j in range(1, len(boundaries)):
         if not boundaries[j - 1].matmul(boundaries[j]).is_zero:
             raise InvariantError(f"boundary of boundary is not zero in degree {j}")
-    return _store(key, (tuple(bases), tuple(boundaries), masks))
+    return _store(key, (tuple(boundaries), masks))
 
 
 def chain_complex(c: Complex, field: CoefficientField) -> ChainComplexOverField:
     """The reduced chain complex of a non-void complex over the field."""
     if c.is_void:
         raise ValueError("the void complex has no chain complex")
-    bases, boundaries, _ = _chain_data(c)
+    boundaries, _ = _chain_data(c)
+    bases = tuple(tuple(c.faces_of_dim(k)) for k in range(-1, c.dim + 1))
     return ChainComplexOverField(field, bases, boundaries)
 
 
 def _boundary_ranks(c: Complex, field: CoefficientField) -> tuple:
-    _, boundaries, _ = _chain_data(c)
+    boundaries, _ = _chain_data(c)
     return tuple(rank(b, field) for b in boundaries)
 
 
@@ -157,7 +176,7 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
     """Reduced Betti numbers of a non-void complex."""
     if c.is_void:
         raise ValueError("Betti numbers of the void complex are undefined")
-    key = ("betti", c.facets, field.label)
+    key = ("betti", c.index_form, field.label)
     cached = _cache.get(key)
     if cached is not None:
         return cached
@@ -165,9 +184,9 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
     if top == -1:
         bv = BettiVector((1,), field)
     else:
-        bases, _, _ = _chain_data(c)
+        _, masks = _chain_data(c)
         ranks = _boundary_ranks(c, field)
-        f = [len(b) for b in bases]
+        f = [len(b) for b in masks]
         values = []
         for degree in range(-1, top + 1):
             r_out = ranks[degree] if 0 <= degree < len(ranks) else 0
@@ -181,25 +200,24 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
     return _store(key, bv)
 
 
-def _superset_indices(c: Complex, tau: tuple) -> dict:
-    """Per degree, the basis indices of faces containing tau (a face)."""
-    _, _, masks = _chain_data(c)
-    vertices = c.vertices
-    t = sum(1 << vertices.index(v) for v in tau)
+def _superset_indices(c: Complex, t: int) -> dict:
+    """Per degree, the basis indices of faces containing the face with
+    vertex bitmask t."""
+    _, masks = _chain_data(c)
     return {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
-            for k in range(len(tau), len(masks))}
+            for k in range(t.bit_count(), len(masks))}
 
 
-def _relative_data(c: Complex, tau: tuple, field: CoefficientField):
+def _relative_data(c: Complex, t: int, field: CoefficientField):
     """Face counts and boundary ranks of the quotient complex for
-    (Delta, cost(tau)): counts[j] and rank of the induced boundary leaving
-    degree j, for |tau|-1 <= j <= dim."""
-    key = ("rel", c.facets, tau, field.label)
+    (Delta, cost(tau)), tau given by its vertex bitmask t: counts[j] and
+    rank of the induced boundary leaving degree j, for |tau|-1 <= j <= dim."""
+    key = ("rel", c.index_form, t, field.label)
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    _, boundaries, _ = _chain_data(c)
-    sel = _superset_indices(c, tau)
+    boundaries, _ = _chain_data(c)
+    sel = _superset_indices(c, t)
     counts = {deg: len(idx) for deg, idx in sel.items()}
     ranks = {}
     for deg, idx in sel.items():
@@ -215,7 +233,7 @@ def _relative_data(c: Complex, tau: tuple, field: CoefficientField):
 def relative_betti_vector(c: Complex, tau, field: CoefficientField) -> BettiVector:
     """dim H(Delta, cost(tau)) per degree -1 .. dim, from the quotient complex."""
     t = _checked_face(c, tau)
-    counts, ranks = _relative_data(c, t, field)
+    counts, ranks = _relative_data(c, c.vertex_mask(t), field)
     values = []
     for degree in range(-1, c.dim + 1):
         n = counts.get(degree, 0)
@@ -243,25 +261,25 @@ def _checked_face(c: Complex, tau) -> tuple:
 def top_cycle_basis(c: Complex, field: CoefficientField) -> Matrix:
     """Basis of top-degree cycles; equals the top reduced homology of a
     pure complex since there are no chains above the top degree."""
-    key = ("top_kernel", c.facets, field.label)
+    key = ("top_kernel", c.index_form, field.label)
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    _, boundaries, _ = _chain_data(c)
+    boundaries, _ = _chain_data(c)
     k = kernel_basis(boundaries[c.dim], field)
     return _store(key, k)
 
 
-def _relative_top_kernel(c: Complex, tau: tuple, field: CoefficientField):
-    """The basis indices of the facets containing tau, and the kernel of
-    the top boundary of the quotient complex for tau, whose rows are
-    those facets in that order."""
-    key = ("rel_kernel", c.facets, tau, field.label)
+def _relative_top_kernel(c: Complex, t: int, field: CoefficientField):
+    """The basis indices of the facets containing the face with vertex
+    bitmask t, and the kernel of the top boundary of the quotient complex
+    for that face, whose rows are those facets in that order."""
+    key = ("rel_kernel", c.index_form, t, field.label)
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    _, boundaries, _ = _chain_data(c)
-    sel = _superset_indices(c, tau)
+    boundaries, _ = _chain_data(c)
+    sel = _superset_indices(c, t)
     top = c.dim
     cols = sel[top]
     rows = sel.get(top - 1, [])
@@ -279,7 +297,7 @@ def top_restriction_surjective(c: Complex, tau, field: CoefficientField) -> bool
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
     t = _checked_face(c, tau)
-    facet_rows, rel_kernel = _relative_top_kernel(c, t, field)
+    facet_rows, rel_kernel = _relative_top_kernel(c, c.vertex_mask(t), field)
     z_dim = rel_kernel.ncols
     if z_dim == 0:
         return True
@@ -305,12 +323,12 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
         return True
     if not t:
         return True
-    rows_t, target_kernel = _relative_top_kernel(c, t, field)
+    rows_t, target_kernel = _relative_top_kernel(c, c.vertex_mask(t), field)
     z_dim = target_kernel.ncols
     if z_dim == 0:
         return True
     if s:
-        rows_s, source = _relative_top_kernel(c, s, field)
+        rows_s, source = _relative_top_kernel(c, c.vertex_mask(s), field)
         pos = {facet_idx: i for i, facet_idx in enumerate(rows_s)}
         projected = source.take_rows([pos[i] for i in rows_t])
     else:
@@ -325,22 +343,33 @@ def _cache_key_string(facets: tuple, field_label: str) -> str:
 
 
 def save_betti_cache(path, complexes=None, held=None) -> None:
-    """Write Betti vectors of the cache to a JSON file.
+    """Write Betti vectors of the cache to a JSON file, each under the
+    facets of a complex it belongs to.
 
-    With ``complexes`` None, every Betti vector of the cache is written.
-    Otherwise ``complexes`` lists the facets of complexes, and the file
-    gets the entries of ``held`` (as filled by :func:`load_betti_cache`)
-    and the cache's vectors of those complexes, and is written only if it
-    is missing or lacks one of those vectors.  The vectors of links and
-    other complexes a predicate computes on the way are not written.
+    With ``complexes`` None, every Betti vector of the cache is written,
+    under its index form (the complex on the vertices 0..n-1 with those
+    facets).  Otherwise ``complexes`` lists the facets of complexes, and
+    the file gets the entries of ``held`` (as filled by
+    :func:`load_betti_cache`) and the cache's vectors of those complexes,
+    under their own facets, and is written only if it is missing or lacks
+    one of those vectors.  The vectors of links and other complexes a
+    predicate computes on the way are not written.
 
     The file is written whole to a temporary file in the same directory,
     which then replaces it, so a failed write leaves the old file intact.
     """
-    wanted = None if complexes is None else set(complexes)
-    entries = {(key[1], key[2]): bv for key, bv in list(_cache.items())
-               if key[0] == "betti" and (wanted is None or key[1] in wanted)}
-    if wanted is not None:
+    wanted: dict = {}   # index form -> the facets asked for with it
+    if complexes is not None:
+        for facets in complexes:
+            wanted.setdefault(Complex(facets).index_form, []).append(facets)
+    entries = {}
+    for key, bv in list(_cache.items()):
+        if key[0] != "betti":
+            continue
+        for facets in (wanted.get(key[1], ()) if complexes is not None
+                       else (key[1],)):
+            entries[facets, key[2]] = bv
+    if complexes is not None:
         held = held or {}
         if entries.keys() <= held.keys() and os.path.exists(path):
             return
@@ -363,10 +392,12 @@ def save_betti_cache(path, complexes=None, held=None) -> None:
 def load_betti_cache(path, held=None) -> int:
     """Merge a saved cache file into the cache and return how many
     distinct Betti vectors it holds; a dict passed as ``held`` also gets
-    them, keyed ``(facets, field label)``.  A missing or unparsable file
-    loads nothing, and an entry whose key does not parse is skipped.
-    Raises ValueError if the file is not a JSON object or an entry is not
-    a list of non-negative ints of length max-facet-size + 1."""
+    them, keyed ``(facets, field label)``.  Each vector is cached under
+    the index form of its facets, which a complex shares only if the
+    facets are canonical.  A missing or unparsable file loads nothing,
+    and an entry whose key does not parse is skipped.  Raises ValueError
+    if the file is not a JSON object or an entry is not a list of
+    non-negative ints of length max-facet-size + 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -389,8 +420,13 @@ def load_betti_cache(path, held=None) -> int:
                 and set(map(type, values)) == {int} and min(values) >= 0):
             raise ValueError(f"{path}: Betti cache entry {key!r} is not a list "
                              f"of {size} non-negative ints")
-        loaded[facets, label] = _store(("betti", facets, label),
-                                       BettiVector(tuple(values), field))
+        bv = BettiVector(tuple(values), field)
+        try:
+            index = Complex(facets).index_form
+        except TypeError:  # labels with no common order: no complex has them
+            loaded[facets, label] = bv
+        else:
+            loaded[facets, label] = _store(("betti", index, label), bv)
     if held is not None:
         held.update(loaded)
     return len(loaded)

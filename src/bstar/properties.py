@@ -110,23 +110,29 @@ def _impure_witness(c: Complex) -> Witness:
 
 def is_cohen_macaulay(c: Complex, field: CoefficientField) -> PropertyReport:
     """Vanishing of reduced link homology below the link dimension, for
-    every face including the empty one.  Reports are memoised in the
-    homology cache."""
+    every face including the empty one.  The first violation, with its
+    face as vertex positions, is memoised in the homology cache, so
+    relabelled complexes share it."""
     if c.is_void:
         raise ValueError("void complex has no Cohen-Macaulay verdict")
-    key = ("cm", c.facets, field.label)
-    cached = _cached(key)
-    if cached is not None:
-        return cached
-    for sigma in c.faces_sorted():
-        link = c.link(sigma)
-        top = link.dim
-        betti = reduced_betti(link, field)
-        for i in range(-1, top):
-            if betti[i] != 0:
-                return _store(key, _report("cohen_macaulay", field, False,
-                                           Witness("link_homology", (sigma, i))))
-    return _store(key, _report("cohen_macaulay", field, True))
+    key = ("cm", c.index_form, field.label)
+    found = _cached(key)
+    if found is None:
+        found = ()
+        for sigma in c.faces_sorted():
+            link = c.link(sigma)
+            betti = reduced_betti(link, field)
+            bad = next((i for i in range(-1, link.dim) if betti[i] != 0), None)
+            if bad is not None:
+                found = (tuple(c.vertices.index(v) for v in sigma), bad)
+                break
+        found = _store(key, found)
+    if not found:
+        return _report("cohen_macaulay", field, True)
+    sigma, i = found
+    sigma = tuple(map(c.vertices.__getitem__, sigma))
+    return _report("cohen_macaulay", field, False,
+                   Witness("link_homology", (sigma, i)))
 
 
 def _vertex_subsets(c: Complex, max_size: int):

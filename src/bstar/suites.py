@@ -499,9 +499,13 @@ def suite_names() -> list:
 
 def run_suite(name: str, fields=None, seed: int = 0,
               max_n: int | None = None) -> SuiteReport:
-    """Run one registered suite deterministically and return its report."""
+    """Run one registered suite deterministically and return its report.
+    ``max_n`` bounds the vertex count of the random inputs; the smallest
+    value every suite accepts is 3."""
     if name not in _SUITES:
         raise UnknownSuiteError(name)
+    if max_n is not None and max_n < 3:
+        raise ValueError(f"max_n must be at least 3, got {max_n}")
     func, _ = _SUITES[name]
     if fields is None:
         fields = (GF2, QQ, GF3) if name == "orientability-rp2" else DEFAULT_FIELDS

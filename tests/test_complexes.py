@@ -311,3 +311,47 @@ def test_canonical_equality_and_hash():
     b = build([(2, 4), (1, 2, 3)])
     assert a == b and hash(a) == hash(b)
     assert a.facets == ((1, 2, 3), (2, 4))
+
+
+def _fresh(c):
+    # the same facets, with vertices and index form computed from labels
+    return build(c.facets)
+
+
+@given(mixed_facet_lists, st.data())
+def test_link_and_delete_carry_the_index_form_of_their_labels(fl, data):
+    # link and delete hand their result its vertices and index form, built
+    # from the parent's vertex positions rather than from the new labels
+    c = build(fl)
+    faces = sorted(c.faces(), key=face_key)
+    removed = data.draw(st.sets(st.sampled_from(c.vertices), max_size=3))
+    for child in (c.link(data.draw(st.sampled_from(faces))), c.delete(removed)):
+        fresh = _fresh(child)
+        assert child.facets == fresh.facets
+        assert child.vertices == fresh.vertices
+        assert child.index_form == fresh.index_form
+
+
+@given(mixed_facet_lists, st.data())
+def test_index_form_is_shared_by_order_preserving_relabellings(fl, data):
+    c = build(fl)
+    n = c.n_vertices
+    ints = sorted(data.draw(st.sets(st.integers(-50, 50), max_size=n)))
+    strs = sorted(data.draw(st.sets(st.text("abcxyz", min_size=1, max_size=3),
+                                    min_size=n - len(ints),
+                                    max_size=n - len(ints))))
+    # ints sort before strs, so this map keeps the vertex order
+    moved = c.relabel(dict(zip(c.vertices, ints + strs)))
+    assert moved.index_form == c.index_form
+    assert build(c.index_form).facets == c.index_form
+    assert build(c.index_form).index_form == c.index_form
+
+
+def test_index_form_examples(triangle_boundary):
+    assert triangle_boundary.index_form == ((0, 1), (0, 2), (1, 2))
+    assert build([]).index_form == ()
+    assert build([[]]).index_form == ((),)
+    hexagon = named("suspended_hexagon")
+    link = hexagon.link(("n",))
+    assert link.vertices == (1, 2, 3, 4, 5, 6)
+    assert link.index_form == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))

@@ -317,3 +317,46 @@ def test_cli_json_and_text_verdicts_agree(tmp_path, capsys):
     main(["check", "buchsbaum-star", str(octa), "--field", "q"])
     as_text = capsys.readouterr().out
     assert as_json["verdict"] is True and "True" in as_text
+
+
+def test_cli_explore_with_invalid_parameters_is_a_usage_error(capsys):
+    # the skeleton-join sphere needs m >= 2
+    assert main(["explore", "--m", "1", "--i", "1", "--d", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "m >= 2" in err
+
+
+@pytest.mark.parametrize("max_n", ["2", "1", "0", "-3"])
+def test_cli_verify_rejects_small_max_n_before_any_output(capsys, max_n):
+    assert main(["verify", "all", "--max-n", max_n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at least 3" in err
+
+
+def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):
+    from bstar.cli import _parser
+    assert _parser() is _parser()
+    # an appended option starts empty on every call
+    argv = ["verify", "all", "--field", "q", "--field", "f2"]
+    assert _parser().parse_args(argv).field == [QQ, GF2]
+    assert _parser().parse_args(argv).field == [QQ, GF2]
+    assert _parser().parse_args(["verify", "all"]).field is None
+    octa = tmp_path / "octa.json"
+    main(["construct", "cross-polytope", "3", "-o", str(octa)])
+    capsys.readouterr()
+    outputs = []
+    for argv in (["check", "cm", str(octa), "--field", "f2", "--json"],
+                 ["verify", "orientability-rp2", "--field", "q", "--json"],
+                 ["check", "cm", str(octa), "--field", "f2", "--json"],
+                 ["verify", "orientability-rp2", "--field", "q", "--json"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        report = json.loads(out.splitlines()[0])
+        report.pop("duration_s", None)
+        outputs.append((code, report, err))
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    assert outputs[1][1]["fields"] == ["Q"]

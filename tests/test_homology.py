@@ -254,3 +254,44 @@ def test_concurrent_betti_queries_agree(octahedron):
             lambda _: reduced_betti(octahedron, QQ), range(32)))
     assert all(tuple(r) == (0, 0, 0, 1) for r in results)
     assert len({id(r) for r in results}) == 1
+
+
+def test_chain_complex_bases_carry_the_queried_labels(triangle_boundary):
+    # chain data is shared by relabelled complexes; the bases are not
+    moved = triangle_boundary.relabel({1: "a", 2: "b", 3: "c"})
+    clear_caches()
+    first = chain_complex(moved, QQ)
+    cached = len(homology._cache)
+    cx = chain_complex(triangle_boundary, QQ)
+    assert len(homology._cache) == cached
+    assert cx.bases == (((),), ((1,), (2,), (3,)), ((1, 2), (1, 3), (2, 3)))
+    assert first.bases[2] == (("a", "b"), ("a", "c"), ("b", "c"))
+    assert cx.boundaries == first.boundaries
+
+
+@settings(max_examples=30)
+@given(facet_lists, st.permutations(["a", "b", 3, 4, 5, 6, 7]),
+       st.sampled_from([QQ, GF2]))
+def test_relabelled_homology_matches_cold(fl, images, field):
+    # a warm query on a relabelled complex (sharing entries when the
+    # relabelling keeps the vertex order) gives the cold answers
+    c = build(fl)
+    moved = c.relabel(dict(zip(c.vertices, images)))
+    faces = [f for f in moved.faces_sorted() if f]
+
+    def answers():
+        return (tuple(reduced_betti(moved, field)),
+                [tuple(relative_betti_vector(moved, t, field)) for t in faces],
+                [top_restriction_surjective(moved, t, field) for t in faces]
+                if moved.is_pure else None,
+                chain_complex(moved, field).bases)
+
+    clear_caches()
+    reduced_betti(c, field)
+    if c.is_pure:
+        for t in c.faces_sorted():
+            if t:
+                top_restriction_surjective(c, t, field)
+    warm = answers()
+    clear_caches()
+    assert warm == answers()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    build, find_balanced_coloring,
@@ -289,3 +291,100 @@ def test_bounded_cache_keeps_suite_records(monkeypatch):
     assert run_suite("hierarchy").to_dict()["cases"] == expected
     assert len(sizes) > 50 and max(sizes) == 50
     clear_caches()
+
+
+def _witness_faces_are_faces(c, w):
+    """Every face in the witness w of a report on c is a face of c, and
+    every vertex set a vertex set of c, in c's own labels; nested
+    witnesses are checked against the link or deletion they are about."""
+    kind, data = w.kind, w.data
+    if kind == "not_pure":
+        return all(f in c.faces() for f in data)
+    if kind in ("link_homology", "link_sphere", "surjectivity"):
+        return data[0] in c.faces()
+    if kind == "vertex_link":
+        v, inner = data
+        return v in c.vertices and (
+            inner is None or _witness_faces_are_faces(c.link((v,)), inner))
+    a = data[0]  # a vertex set deleted from c
+    if not set(a) <= set(c.vertices):
+        return False
+    if len(data) == 2:
+        return _witness_faces_are_faces(c.delete(a), data[1])
+    return True
+
+
+def _mixed_relabellings(c, data):
+    """An order-preserving and an arbitrary relabelling of c onto int and
+    str labels."""
+    n = c.n_vertices
+    k = data.draw(st.integers(0, n))
+    ints = sorted(data.draw(st.sets(st.integers(-9, 99), min_size=k,
+                                    max_size=k)))
+    strs = sorted(data.draw(st.sets(st.text("pqrs", min_size=1, max_size=3),
+                                    min_size=n - k, max_size=n - k)))
+    images = ints + strs  # in label order: ints before strs
+    shuffled = data.draw(st.permutations(images))
+    return (c.relabel(dict(zip(c.vertices, images))),
+            c.relabel(dict(zip(c.vertices, shuffled))))
+
+
+_labels = st.sampled_from([0, 1, 2, 3, 4, "a", "b"])
+small_mixed_complexes = st.one_of(
+    st.integers(1, 3).flatmap(lambda size: st.lists(
+        st.sets(_labels, min_size=size, max_size=size), min_size=1,
+        max_size=7)),
+    st.lists(st.sets(_labels, min_size=1, max_size=3), min_size=1,
+             max_size=6),
+).map(build)
+
+
+@settings(max_examples=40)
+@given(small_mixed_complexes, st.data())
+def test_relabelled_reports_match_cold_reports(c, data):
+    # relabelled complexes share homology cache entries keyed by vertex
+    # positions: a report read off another labelling's entries must equal
+    # the cold report, with its witness in the queried complex's labels
+    from bstar import clear_caches
+    keeping, shuffling = _mixed_relabellings(c, data)
+    for field in (QQ, GF2):
+        for pred in _DIFF_PREDICATES:
+            clear_caches()
+            warm = [pred(x, field) for x in (c, keeping, shuffling)]
+            cold = []
+            for x in (c, keeping, shuffling):
+                clear_caches()
+                cold.append(pred(x, field))
+            assert warm == cold
+            assert len({r.verdict for r in warm}) == 1
+            for x, rep in zip((c, keeping, shuffling), warm):
+                if not rep.verdict:
+                    assert _witness_faces_are_faces(x, rep.witness), (x, rep)
+                    assert revalidate_witness(x, rep, field), (x, rep)
+
+
+def test_relabelled_cross_polytope_stores_no_new_cm_entry():
+    from bstar import clear_caches, cross_polytope
+    from bstar.homology import _cache
+    c = cross_polytope(4)[0]
+    clear_caches()
+    assert is_cohen_macaulay(c, QQ).verdict
+    stored = set(_cache)
+    moved = c.relabel({v: 100 + i for i, v in enumerate(c.vertices)})
+    assert moved.facets != c.facets
+    assert is_cohen_macaulay(moved, QQ) == is_cohen_macaulay(c, QQ)
+    assert set(_cache) == stored
+
+
+def test_shared_cm_witness_is_in_the_queried_labels():
+    from bstar import Witness, clear_caches
+    from bstar.homology import _cache
+    bowtie = build([(1, 2, 3), (3, 4, 5)])
+    moved = bowtie.relabel(dict(zip(bowtie.vertices, "abcde")))
+    clear_caches()
+    assert is_cohen_macaulay(bowtie, QQ).witness == \
+        Witness("link_homology", ((3,), 0))
+    stored = set(_cache)
+    assert is_cohen_macaulay(moved, QQ).witness == \
+        Witness("link_homology", (("c",), 0))
+    assert set(_cache) == stored
