@@ -100,7 +100,7 @@ class Complex:
     """
 
     __slots__ = ("facets", "dim", "_vertices", "_faces", "_by_dim", "_hash",
-                 "_index", "_masks", "_pos")
+                 "_index", "_masks", "_pos", "_pure")
 
     def __init__(self, facets: tuple, vertices=None, index=None):
         self.facets = facets
@@ -113,6 +113,7 @@ class Complex:
         self._index = index
         self._masks = None
         self._pos = None
+        self._pure = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -123,8 +124,9 @@ class Complex:
 
     @property
     def is_pure(self) -> bool:
-        lengths = {len(f) for f in self.facets}
-        return len(lengths) <= 1
+        if self._pure is None:
+            self._pure = len(set(map(len, self.facets))) <= 1
+        return self._pure
 
     @property
     def vertices(self) -> tuple:

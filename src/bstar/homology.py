@@ -14,12 +14,22 @@ cross-check.
 
 Results live in one cache keyed ``(kind, index form, ...)``, where the
 index form of a complex is its facets with each vertex replaced by its
-position in the sorted vertex list (:attr:`Complex.index_form`): chain
-data per complex; per complex and field the Betti vectors, top cycle
-bases and the first Cohen-Macaulay violations found by
-:mod:`bstar.properties`; per face tau, given as a bitmask of vertex
-positions, and field the quotient-complex ranks and top kernel (with the
-rows of the facets containing tau).  Complexes that differ by an
+position in the sorted vertex list (:attr:`Complex.index_form`).  The
+kinds are:
+
+- ``chain``: chain data per complex;
+- ``betti``, ``top_kernel``: Betti vectors and top cycle bases per
+  complex and field;
+- ``report``: the property reports of :mod:`bstar.properties` per
+  predicate, complex, field (and m), witnesses as vertex positions;
+- ``star``: per complex and face tau, given as a bitmask of vertex
+  positions, the basis indices of the faces containing tau, shared by
+  every field;
+- ``rel_kernel``: per complex, tau and field, the top kernel of the
+  quotient complex (with the rows of the facets containing tau).
+
+The ranks of the quotient complex are recomputed from ``star`` on every
+call, since they are rarely asked for twice.  Complexes that differ by an
 order-preserving relabelling share every entry, and that is exact: such
 a relabelling keeps the lexicographic order of the faces and every
 boundary sign, which depend only on vertex positions, so the bases,
@@ -202,20 +212,21 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
 
 def _superset_indices(c: Complex, t: int) -> dict:
     """Per degree, the basis indices of faces containing the face with
-    vertex bitmask t."""
+    vertex bitmask t, cached per index form and t for every field."""
+    key = ("star", c.index_form, t)
+    cached = _cache.get(key)
+    if cached is not None:
+        return cached
     _, masks = _chain_data(c)
-    return {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
-            for k in range(t.bit_count(), len(masks))}
+    return _store(key, {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
+                        for k in range(t.bit_count(), len(masks))})
 
 
 def _relative_data(c: Complex, t: int, field: CoefficientField):
     """Face counts and boundary ranks of the quotient complex for
     (Delta, cost(tau)), tau given by its vertex bitmask t: counts[j] and
-    rank of the induced boundary leaving degree j, for |tau|-1 <= j <= dim."""
-    key = ("rel", c.index_form, t, field.label)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
+    rank of the induced boundary leaving degree j, for |tau|-1 <= j <= dim.
+    Not cached: its callers rarely ask for one (complex, tau, field) twice."""
     boundaries, _ = _chain_data(c)
     sel = _superset_indices(c, t)
     counts = {deg: len(idx) for deg, idx in sel.items()}
@@ -227,7 +238,7 @@ def _relative_data(c: Complex, t: int, field: CoefficientField):
             continue
         sub = boundaries[deg].submatrix(rows, idx)
         ranks[deg] = rank(sub, field)
-    return _store(key, (counts, ranks))
+    return counts, ranks
 
 
 def relative_betti_vector(c: Complex, tau, field: CoefficientField) -> BettiVector:

@@ -7,6 +7,16 @@ witness that independently re-checks to a genuine violation (see
 deterministic (dimension, lexicographic) order, so the reported witness is
 always the first violation in that order.
 
+The seven predicates (Cohen-Macaulay, Buchsbaum, doubly Buchsbaum,
+Buchsbaum-star, m-CM, m-Buchsbaum-star, homology manifold) memoise their
+reports in the homology cache, keyed by the index form of the complex
+(see :mod:`bstar.homology`), with witnesses stored as vertex positions.
+That is exact: an order-preserving relabelling keeps the vertex order, the
+(dimension, lexicographic) face order and the order of the deleted vertex
+subsets, so the first violation maps position for position.  Relabelled
+links and deletions therefore share one report, returned in the labels of
+the complex asked about.
+
 Purity is part of the Buchsbaum definition here: without it the
 "dimension d-1" bookkeeping of the deletion-based predicates breaks.
 m-fold predicates quantify over vertex subsets A with |A| < m, so m = 0
@@ -16,6 +26,7 @@ property itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping
@@ -108,31 +119,79 @@ def _impure_witness(c: Complex) -> Witness:
     return Witness("not_pure", (by_len[0], by_len[-1]))
 
 
+# What each item of a witness's data is, per kind: a face or vertex set (a
+# sorted tuple of vertices), a vertex, a degree, or a nested witness (or
+# None).  The vertices of a nested witness are vertices of the outer
+# complex too, since links and deletions keep their labels.
+_WITNESS_SHAPES = {
+    "not_pure": ("face", "face"),
+    "link_homology": ("face", "degree"),
+    "link_sphere": ("face", "degree"),
+    "surjectivity": ("face",),
+    "deletion_dimension": ("face",),
+    "deletion_buchsbaum": ("face",),
+    "deletion_cm": ("face", "witness"),
+    "deletion_buchsbaum_star": ("face", "witness"),
+    "vertex_link": ("vertex", "witness"),
+}
+
+
+def _map_witness(w: Witness | None, image) -> Witness | None:
+    """The witness with every vertex v, nested witnesses included,
+    replaced by image(v)."""
+    if w is None:
+        return None
+    shape = _WITNESS_SHAPES.get(w.kind)
+    if shape is None:
+        raise InvariantError(f"unknown witness kind {w.kind!r}")
+    if len(shape) != len(w.data):
+        raise InvariantError(f"witness {w!r} does not have the shape {shape}")
+    return Witness(w.kind, tuple(
+        tuple(map(image, x)) if part == "face"
+        else image(x) if part == "vertex"
+        else _map_witness(x, image) if part == "witness"
+        else x
+        for part, x in zip(shape, w.data)))
+
+
+def _memoised(prop: str):
+    """Memoise a predicate ``(c[, m], field)`` in the homology cache under
+    ``("report", prop, index form, field label[, m])``.  The entry is the
+    verdict and the witness with vertices as positions in ``c.vertices``,
+    so relabelled complexes share it; the report returned has the witness
+    in the labels of the complex asked about."""
+    def decorate(compute):
+        @functools.wraps(compute)
+        def predicate(c: Complex, *args) -> PropertyReport:
+            *m, field = args
+            key = ("report", prop, c.index_form, field.label, *m)
+            found = _cached(key)
+            if found is None:
+                report = compute(c, *args)
+                position = {v: i for i, v in enumerate(c.vertices)}.__getitem__
+                found = _store(key, (report.verdict,
+                                     _map_witness(report.witness, position)))
+            verdict, witness = found
+            return _report(prop, field, verdict,
+                           _map_witness(witness, c.vertices.__getitem__))
+        return predicate
+    return decorate
+
+
+@_memoised("cohen_macaulay")
 def is_cohen_macaulay(c: Complex, field: CoefficientField) -> PropertyReport:
     """Vanishing of reduced link homology below the link dimension, for
-    every face including the empty one.  The first violation, with its
-    face as vertex positions, is memoised in the homology cache, so
-    relabelled complexes share it."""
+    every face including the empty one."""
     if c.is_void:
         raise ValueError("void complex has no Cohen-Macaulay verdict")
-    key = ("cm", c.index_form, field.label)
-    found = _cached(key)
-    if found is None:
-        found = ()
-        for sigma in c.faces_sorted():
-            link = c.link(sigma)
-            betti = reduced_betti(link, field)
-            bad = next((i for i in range(-1, link.dim) if betti[i] != 0), None)
-            if bad is not None:
-                found = (tuple(c.vertices.index(v) for v in sigma), bad)
-                break
-        found = _store(key, found)
-    if not found:
-        return _report("cohen_macaulay", field, True)
-    sigma, i = found
-    sigma = tuple(map(c.vertices.__getitem__, sigma))
-    return _report("cohen_macaulay", field, False,
-                   Witness("link_homology", (sigma, i)))
+    for sigma in c.faces_sorted():
+        link = c.link(sigma)
+        betti = reduced_betti(link, field)
+        bad = next((i for i in range(-1, link.dim) if betti[i] != 0), None)
+        if bad is not None:
+            return _report("cohen_macaulay", field, False,
+                           Witness("link_homology", (sigma, bad)))
+    return _report("cohen_macaulay", field, True)
 
 
 def _vertex_subsets(c: Complex, max_size: int):
@@ -140,6 +199,7 @@ def _vertex_subsets(c: Complex, max_size: int):
         yield from itertools.combinations(c.vertices, size)
 
 
+@_memoised("m_cm")
 def is_m_cm(c: Complex, m: int, field: CoefficientField) -> PropertyReport:
     """Cohen-Macaulay, with dimension preserved and Cohen-Macaulayness kept
     under deletion of every vertex subset of size below m."""
@@ -158,6 +218,7 @@ def is_m_cm(c: Complex, m: int, field: CoefficientField) -> PropertyReport:
     return _report("m_cm", field, True)
 
 
+@_memoised("buchsbaum")
 def is_buchsbaum(c: Complex, field: CoefficientField) -> PropertyReport:
     """Pure with every vertex link Cohen-Macaulay of dimension d-2."""
     if c.is_void:
@@ -176,6 +237,7 @@ def is_buchsbaum(c: Complex, field: CoefficientField) -> PropertyReport:
     return _report("buchsbaum", field, True)
 
 
+@_memoised("doubly_buchsbaum")
 def is_doubly_buchsbaum(c: Complex, field: CoefficientField) -> PropertyReport:
     """Buchsbaum, and still Buchsbaum of the same dimension after deleting
     any single vertex."""
@@ -190,6 +252,7 @@ def is_doubly_buchsbaum(c: Complex, field: CoefficientField) -> PropertyReport:
     return _report("doubly_buchsbaum", field, True)
 
 
+@_memoised("buchsbaum_star")
 def is_buchsbaum_star(c: Complex, field: CoefficientField) -> PropertyReport:
     """Buchsbaum with the top-homology restriction map surjective at every
     non-empty face."""
@@ -205,6 +268,7 @@ def is_buchsbaum_star(c: Complex, field: CoefficientField) -> PropertyReport:
     return _report("buchsbaum_star", field, True)
 
 
+@_memoised("m_buchsbaum_star")
 def is_m_buchsbaum_star(c: Complex, m: int,
                         field: CoefficientField) -> PropertyReport:
     """Buchsbaum, and Buchsbaum-star of unchanged dimension after deleting
@@ -236,6 +300,7 @@ def _sphere_betti(top: int) -> tuple:
     return tuple(values)
 
 
+@_memoised("homology_manifold")
 def is_homology_manifold(c: Complex, field: CoefficientField) -> PropertyReport:
     """Pure, with every non-empty face link having the homology of a sphere
     of the link's dimension (closed manifolds only)."""

@@ -243,13 +243,13 @@ _DIFF_PREDICATES = (
     is_cohen_macaulay, is_buchsbaum, is_buchsbaum_star,
     lambda c, f: is_m_cm(c, 2, f),
     lambda c, f: is_m_buchsbaum_star(c, 2, f),
-    is_doubly_buchsbaum,
+    is_doubly_buchsbaum, is_homology_manifold,
 )
 
 
 def test_cached_reports_match_cold_reports():
-    # the homology cache memoises whole Cohen-Macaulay reports and the
-    # pieces of every other predicate: a warm cache must give exactly the
+    # the homology cache memoises whole reports of every predicate and
+    # the homology they are built from: a warm cache must give exactly the
     # reports (verdicts and first-violation witnesses) of a cold one
     from bstar import GF3, clear_caches, corpus
     from bstar.homology import _cache
@@ -388,3 +388,59 @@ def test_shared_cm_witness_is_in_the_queried_labels():
     assert is_cohen_macaulay(moved, QQ).witness == \
         Witness("link_homology", (("c",), 0))
     assert set(_cache) == stored
+
+
+@pytest.mark.parametrize("pred", [
+    is_buchsbaum, is_buchsbaum_star, lambda c, f: is_m_cm(c, 2, f)])
+def test_relabelled_cross_polytope_stores_no_new_report_entry(pred):
+    from bstar import clear_caches, cross_polytope
+    from bstar.homology import _cache
+    c = cross_polytope(4)[0]
+    clear_caches()
+    assert pred(c, QQ).verdict
+    stored = set(_cache)
+    assert any(key[0] == "report" for key in stored)
+    moved = c.relabel({v: 100 + i for i, v in enumerate(c.vertices)})
+    assert pred(moved, QQ) == pred(c, QQ)
+    assert set(_cache) == stored
+
+
+def test_shared_nested_witnesses_are_in_the_queried_labels():
+    # each report is computed on int labels, then read from the cache for
+    # an order-preserving relabelling onto strs, and must equal the cold
+    # report of the relabelled complex
+    from bstar import Witness, clear_caches, cross_polytope
+    from bstar.homology import _cache
+    octahedron = cross_polytope(3)[0]
+    octahedron = octahedron.relabel(
+        {v: i for i, v in enumerate(octahedron.vertices)})
+    cases = [
+        (build([(0, 1, 2, 3), (0, 3, 4, 5)]), is_buchsbaum,
+         Witness("vertex_link", ("a", Witness("link_homology", (("d",), 0))))),
+        (octahedron, lambda c, f: is_m_buchsbaum_star(c, 2, f),
+         Witness("deletion_buchsbaum_star",
+                 (("a",), Witness("surjectivity", (("d",),))))),
+        (build([(0, 1, 2), (2, 3)]), is_doubly_buchsbaum,
+         Witness("not_pure", (("c", "d"), ("a", "b", "c")))),
+    ]
+    for c, pred, expected in cases:
+        moved = c.relabel(dict(zip(c.vertices, "abcdef")))
+        clear_caches()
+        pred(c, QQ)
+        stored = set(_cache)
+        rep = pred(moved, QQ)
+        assert set(_cache) == stored
+        assert rep.witness == expected
+        clear_caches()
+        assert pred(moved, QQ) == rep
+        assert revalidate_witness(moved, rep, QQ)
+
+
+def test_report_memo_refuses_unknown_witness_kinds():
+    from bstar import Witness
+    from bstar.linalg import InvariantError
+    from bstar.properties import _map_witness
+    with pytest.raises(InvariantError):
+        _map_witness(Witness("no_such_kind", ((1,),)), str)
+    with pytest.raises(InvariantError):
+        _map_witness(Witness("surjectivity", ((1,), 2)), str)
