@@ -43,6 +43,8 @@ def parse_text(text: str, source: str = "<string>") -> ComplexFile:
     except json.JSONDecodeError as exc:
         raise ComplexFileError(
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ComplexFileError(f"{source}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ComplexFileError(f"{source}: top level must be an object")
     if "facets" not in doc or not isinstance(doc["facets"], list):

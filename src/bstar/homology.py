@@ -10,7 +10,9 @@ the quotient complex whose degree-j basis is the j-faces containing tau;
 the induced restriction maps used by the Buchsbaum-star classifiers are
 coordinate projections at chain level, never routed through the
 link-shift isomorphism, which therefore stays available as an independent
-cross-check.
+cross-check.  Absolute homology is the case tau = empty face (bitmask 0):
+cost of the empty face is the void complex, so the quotient complex is
+the whole augmented chain complex and H(Delta) = H(Delta, cost(empty)).
 
 Results live in one cache keyed ``(kind, index form, ...)``, where the
 index form of a complex is its facets with each vertex replaced by its
@@ -18,15 +20,15 @@ position in the sorted vertex list (:attr:`Complex.index_form`).  The
 kinds are:
 
 - ``chain``: chain data per complex;
-- ``betti``, ``top_kernel``: Betti vectors and top cycle bases per
-  complex and field;
+- ``betti``: Betti vectors per complex and field;
 - ``report``: the property reports of :mod:`bstar.properties` per
   predicate, complex, field (and m), witnesses as vertex positions;
 - ``star``: per complex and face tau, given as a bitmask of vertex
   positions, the basis indices of the faces containing tau, shared by
   every field;
 - ``rel_kernel``: per complex, tau and field, the top kernel of the
-  quotient complex (with the rows of the facets containing tau).
+  quotient complex, its rows keyed by facet basis index (at tau empty,
+  the top cycle space).
 
 The ranks of the quotient complex are recomputed from ``star`` on every
 call, since they are rarely asked for twice.  Complexes that differ by an
@@ -177,36 +179,22 @@ def chain_complex(c: Complex, field: CoefficientField) -> ChainComplexOverField:
     return ChainComplexOverField(field, bases, boundaries)
 
 
-def _boundary_ranks(c: Complex, field: CoefficientField) -> tuple:
-    boundaries, _ = _chain_data(c)
-    return tuple(rank(b, field) for b in boundaries)
-
-
 def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
-    """Reduced Betti numbers of a non-void complex."""
+    """Reduced Betti numbers of a non-void complex: the relative Betti
+    numbers at the empty face, whose quotient complex is the whole
+    augmented chain complex."""
     if c.is_void:
         raise ValueError("Betti numbers of the void complex are undefined")
     key = ("betti", c.index_form, field.label)
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    top = c.dim
-    if top == -1:
-        bv = BettiVector((1,), field)
-    else:
-        _, masks = _chain_data(c)
-        ranks = _boundary_ranks(c, field)
-        f = [len(b) for b in masks]
-        values = []
-        for degree in range(-1, top + 1):
-            r_out = ranks[degree] if 0 <= degree < len(ranks) else 0
-            r_in = ranks[degree + 1] if degree + 1 < len(ranks) else 0
-            values.append(f[degree + 1] - r_out - r_in)
-        bv = BettiVector(tuple(values), field)
-        chi_f = sum(n if k % 2 else -n for k, n in enumerate(f))
-        if bv.chi_reduced() != chi_f:
-            raise InvariantError(f"Euler characteristic mismatch: "
-                                 f"{bv.chi_reduced()} != {chi_f}")
+    counts, ranks = _relative_data(c, 0, field)
+    bv = BettiVector(_betti_values(counts, ranks, c.dim), field)
+    chi_f = sum(-n if degree % 2 else n for degree, n in counts.items())
+    if bv.chi_reduced() != chi_f:
+        raise InvariantError(f"Euler characteristic mismatch: "
+                             f"{bv.chi_reduced()} != {chi_f}")
     return _store(key, bv)
 
 
@@ -236,7 +224,7 @@ def _relative_data(c: Complex, t: int, field: CoefficientField):
         if not rows:
             ranks[deg] = 0
             continue
-        sub = boundaries[deg].submatrix(rows, idx)
+        sub = boundaries[deg].submatrix(rows, idx) if t else boundaries[deg]
         ranks[deg] = rank(sub, field)
     return counts, ranks
 
@@ -245,13 +233,16 @@ def relative_betti_vector(c: Complex, tau, field: CoefficientField) -> BettiVect
     """dim H(Delta, cost(tau)) per degree -1 .. dim, from the quotient complex."""
     t = _checked_face(c, tau)
     counts, ranks = _relative_data(c, c.vertex_mask(t), field)
+    return BettiVector(_betti_values(counts, ranks, c.dim), field)
+
+
+def _betti_values(counts: dict, ranks: dict, top: int) -> tuple:
+    """Homology dimensions per degree -1 .. top from face counts and ranks."""
     values = []
-    for degree in range(-1, c.dim + 1):
-        n = counts.get(degree, 0)
-        r_out = ranks.get(degree, 0)
-        r_in = ranks.get(degree + 1, 0)
-        values.append(n - r_out - r_in)
-    return BettiVector(tuple(values), field)
+    for degree in range(-1, top + 1):
+        values.append(counts.get(degree, 0) - ranks.get(degree, 0)
+                      - ranks.get(degree + 1, 0))
+    return tuple(values)
 
 
 def relative_betti(c: Complex, tau, i: int, field: CoefficientField) -> int:
@@ -269,22 +260,10 @@ def _checked_face(c: Complex, tau) -> tuple:
     return t
 
 
-def top_cycle_basis(c: Complex, field: CoefficientField) -> Matrix:
-    """Basis of top-degree cycles; equals the top reduced homology of a
-    pure complex since there are no chains above the top degree."""
-    key = ("top_kernel", c.index_form, field.label)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
-    boundaries, _ = _chain_data(c)
-    k = kernel_basis(boundaries[c.dim], field)
-    return _store(key, k)
-
-
 def _relative_top_kernel(c: Complex, t: int, field: CoefficientField):
     """The basis indices of the facets containing the face with vertex
-    bitmask t, and the kernel of the top boundary of the quotient complex
-    for that face, whose rows are those facets in that order."""
+    bitmask t, and the top kernel of its quotient complex with rows keyed
+    by facet basis index (at t = 0, the top cycle space)."""
     key = ("rel_kernel", c.index_form, t, field.label)
     cached = _cache.get(key)
     if cached is not None:
@@ -294,27 +273,32 @@ def _relative_top_kernel(c: Complex, t: int, field: CoefficientField):
     top = c.dim
     cols = sel[top]
     rows = sel.get(top - 1, [])
-    sub = boundaries[top].submatrix(rows, cols)
-    return _store(key, (cols, kernel_basis(sub, field)))
+    k = kernel_basis(boundaries[top].submatrix(rows, cols), field)
+    by_facet = {cols[i]: row for i, row in k.rows.items()}
+    return _store(key, (cols, Matrix._of_rows(boundaries[top].ncols, k.ncols,
+                                              by_facet)))
+
+
+def _restriction_surjective(c: Complex, s: int, t: int,
+                            field: CoefficientField) -> bool:
+    """Whether relative top homology at the face with vertex bitmask s
+    (0: absolute top homology) maps onto that at its superset t: relative
+    top homology is the relative cycle space, and the map projects onto
+    the facets containing t."""
+    rows_t, target_kernel = _relative_top_kernel(c, t, field)
+    z_dim = target_kernel.ncols
+    if z_dim == 0:
+        return True
+    _, source = _relative_top_kernel(c, s, field)
+    return rank(source.take_rows(rows_t), field) == z_dim
 
 
 def top_restriction_surjective(c: Complex, tau, field: CoefficientField) -> bool:
-    """Whether top homology surjects onto the relative top homology at tau.
-
-    Top homology is the kernel of the top boundary map; the induced map is
-    the coordinate projection onto the facets containing tau, and relative
-    top homology is the relative cycle space.
-    """
+    """Whether top homology surjects onto the relative top homology at tau."""
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
     t = _checked_face(c, tau)
-    facet_rows, rel_kernel = _relative_top_kernel(c, c.vertex_mask(t), field)
-    z_dim = rel_kernel.ncols
-    if z_dim == 0:
-        return True
-    cycles = top_cycle_basis(c, field)
-    projected = cycles.take_rows(facet_rows)
-    return rank(projected, field) == z_dim
+    return _restriction_surjective(c, 0, c.vertex_mask(t), field)
 
 
 def pair_restriction_surjective(c: Complex, sigma, tau,
@@ -332,19 +316,8 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
         raise FaceNotPresentError(f"{t!r} is not a face")
     if s == t:
         return True
-    if not t:
-        return True
-    rows_t, target_kernel = _relative_top_kernel(c, c.vertex_mask(t), field)
-    z_dim = target_kernel.ncols
-    if z_dim == 0:
-        return True
-    if s:
-        rows_s, source = _relative_top_kernel(c, c.vertex_mask(s), field)
-        pos = {facet_idx: i for i, facet_idx in enumerate(rows_s)}
-        projected = source.take_rows([pos[i] for i in rows_t])
-    else:
-        projected = top_cycle_basis(c, field).take_rows(rows_t)
-    return rank(projected, field) == z_dim
+    return _restriction_surjective(c, c.vertex_mask(s), c.vertex_mask(t),
+                                   field)
 
 
 # -- optional on-disk Betti cache (used by the CLI) -------------------------
@@ -414,6 +387,8 @@ def load_betti_cache(path, held=None) -> int:
             data = json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError):
         return 0
+    except RecursionError as exc:
+        raise ValueError(f"{path}: the Betti cache is nested too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: the Betti cache is not a JSON object")
     loaded = {}
@@ -425,7 +400,7 @@ def load_betti_cache(path, held=None) -> int:
             field = (CoefficientField.rationals() if label == "Q"
                      else CoefficientField.prime(int(label[1:])))
             hash(facets)  # a label that is a JSON list or object
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, RecursionError):
             continue
         if not (type(values) is list and len(values) == size
                 and set(map(type, values)) == {int} and min(values) >= 0):

@@ -337,38 +337,32 @@ def find_balanced_coloring(c: Complex, max_nodes: int = 10_000_000):
         adj[e[1]].add(e[0])
     order = sorted(c.vertices, key=lambda v: (-len(adj[v]), label_key(v)))
     assignment: dict = {}
+    tried = [0] * len(order)    # the colour last tried at each position
     nodes = 0
-
-    def backtrack(pos: int):
-        nonlocal nodes
-        if pos == len(order):
-            return True
+    pos = 0
+    while 0 <= pos < len(order):
         v = order[pos]
-        for color in range(1, d + 1):
+        assignment.pop(v, None)
+        color = tried[pos]
+        while color < d:
+            color += 1
             nodes += 1
             if nodes > max_nodes:
-                raise _BudgetExhausted
-            if any(assignment.get(u) == color for u in adj[v]):
-                continue
-            assignment[v] = color
-            if backtrack(pos + 1):
-                return True
-            del assignment[v]
-        return False
-
-    try:
-        found = backtrack(0)
-    except _BudgetExhausted:
-        return UNKNOWN
-    if not found:
+                return UNKNOWN
+            if not any(assignment.get(u) == color for u in adj[v]):
+                break
+        else:   # every colour failed: back to the previous position
+            tried[pos] = 0
+            pos -= 1
+            continue
+        tried[pos] = color
+        assignment[v] = color
+        pos += 1
+    if pos < 0:
         return None
     coloring = Coloring(dict(assignment), d)
     coloring.validate(c)
     return coloring
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def rank_selected(c: Complex, coloring: Coloring, colors) -> Complex:

@@ -57,14 +57,20 @@ def oracle_rank(rows, p=None):
     return DomainMatrix.from_Matrix(m).convert_to(GF(p)).rank()
 
 
+def oracle_bases(facets):
+    """The faces of each degree -1..top in the order of oracle_boundaries."""
+    faces = downward_closure(facets)
+    top = max(len(f) for f in faces) - 1
+    return {k: sorted((f for f in faces if len(f) == k + 1),
+                      key=lambda f: tuple(_key(v) for v in f))
+            for k in range(-1, top + 1)}
+
+
 def oracle_boundaries(facets):
     """Signed boundary matrices of the reduced chain complex, as row lists,
     indexed by degree 0..top."""
-    faces = downward_closure(facets)
-    top = max(len(f) for f in faces) - 1
-    by_dim = {k: sorted((f for f in faces if len(f) == k + 1),
-                        key=lambda f: tuple(_key(v) for v in f))
-              for k in range(-1, top + 1)}
+    by_dim = oracle_bases(facets)
+    top = max(by_dim)
     out = []
     for degree in range(0, top + 1):
         rows_idx = {f: i for i, f in enumerate(by_dim[degree - 1])}
@@ -98,6 +104,33 @@ def oracle_betti(facets, p=None):
         r_in = ranks[degree + 1] if degree + 1 < len(ranks) else 0
         values.append(counts[degree + 1] - r_out - r_in)
     return tuple(values)
+
+
+def oracle_restriction_surjective(facets, sigma, tau, p=None):
+    """Whether H_top(Delta, cost sigma) -> H_top(Delta, cost tau) is onto,
+    for a pure complex and faces sigma within tau (sigma empty: absolute
+    top homology), by rank-nullity.  With F_x the facets and R_x the
+    ridges containing x and B the top boundary, relative top homology at
+    x is ker B[R_x, F_x] and the map projects onto F_tau; the map is onto
+    iff nullity B[R_s, F_s] - nullity B[R_s, F_s - F_t] = nullity B[R_t, F_t].
+    """
+    bases = oracle_bases(facets)
+    top = max(bases)
+    boundary = oracle_boundaries(facets)[top]
+
+    def containing(x, faces):
+        return [i for i, f in enumerate(faces) if set(x) <= set(f)]
+
+    def nullity(rows, cols):
+        if not cols or not rows:
+            return len(cols)
+        return len(cols) - oracle_rank(
+            [[boundary[r][c] for c in cols] for r in rows], p)
+
+    f_s, f_t = containing(sigma, bases[top]), containing(tau, bases[top])
+    r_s, r_t = containing(sigma, bases[top - 1]), containing(tau, bases[top - 1])
+    image = nullity(r_s, f_s) - nullity(r_s, [i for i in f_s if i not in f_t])
+    return image == nullity(r_t, f_t)
 
 
 class _Field:

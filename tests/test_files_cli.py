@@ -123,6 +123,16 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_deeply_nested_complex_file_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"facets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    capsys.readouterr()
+    assert main(["vectors", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 def test_cli_verify_and_explore(capsys):
     assert main(["verify", "orientability-rp2"]) == 0
     out = capsys.readouterr().out
@@ -205,10 +215,10 @@ def test_cli_cold_homology_is_answered_from_the_file(tmp_path, capsys,
     first = capsys.readouterr().out
     clear_caches()
 
-    def no_ranks(c, field):
+    def no_ranks(m, field):
         raise AssertionError("recomputed a vector held by the file")
 
-    monkeypatch.setattr(homology, "_boundary_ranks", no_ranks)
+    monkeypatch.setattr(homology, "rank", no_ranks)
     assert main(argv) == 0
     assert capsys.readouterr().out == first
 
@@ -306,6 +316,24 @@ def test_cli_cache_entry_with_unparsable_key_is_skipped(tmp_path, capsys,
                                             content)
     assert (code, err) == (0, "")
     assert "[[[1], 2]]" not in after
+
+
+def test_cli_deeply_nested_cache_file_exit_2(tmp_path, capsys, monkeypatch):
+    content = '{"facets": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
+                                            content)
+    assert code == 2 and after == content
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
+def test_cli_cache_entry_with_deeply_nested_key_is_skipped(tmp_path, capsys,
+                                                           monkeypatch):
+    content = json.dumps({"Q|" + "[" * 100_000 + "]" * 100_000: [1]})
+    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
+                                            content)
+    assert (code, err) == (0, "")
+    assert "[[[" not in after
 
 
 def test_cli_json_and_text_verdicts_agree(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import os
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bstar import (GF2, GF3, QQ, BettiVector, FaceNotPresentError,
@@ -12,10 +13,13 @@ from bstar import (GF2, GF3, QQ, BettiVector, FaceNotPresentError,
 from bstar import homology
 from bstar.homology import load_betti_cache, save_betti_cache
 
-from oracles import oracle_betti
+from oracles import oracle_betti, oracle_restriction_surjective
 
 facet_lists = st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
                        min_size=1, max_size=8)
+pure_facet_lists = st.integers(0, 2).flatmap(lambda d: st.lists(
+    st.sets(st.integers(0, 6), min_size=d + 1, max_size=d + 1),
+    min_size=1, max_size=8))
 
 
 def test_chain_complex_single_edge():
@@ -89,6 +93,15 @@ def test_all_fixture_betti_match_frozen_and_oracle():
             got = tuple(reduced_betti(fx.complex, field))
             assert got == fx.expected_betti[label], name
             assert got == oracle_betti(fx.complex.facets, p), name
+
+
+@settings(max_examples=40)
+@given(facet_lists, st.sampled_from([QQ, GF2, GF3]))
+@example([()], QQ)
+@example([()], GF2)
+@example([()], GF3)
+def test_betti_matches_oracle_on_random_complexes(fl, field):
+    assert tuple(reduced_betti(build(fl), field)) == oracle_betti(fl, field.p)
 
 
 def test_betti_vector_indexing():
@@ -179,6 +192,21 @@ def test_restriction_maps_accept_any_vertex_order():
 
 
 @settings(max_examples=25)
+@given(pure_facet_lists, st.sampled_from([QQ, GF2, GF3]))
+def test_restriction_maps_match_rank_nullity_oracle(fl, field):
+    c = build(fl)
+    for tau in c.faces_sorted():
+        want = oracle_restriction_surjective(fl, (), tau, field.p)
+        if tau:
+            assert top_restriction_surjective(c, tau, field) == want, tau
+        for k in range(len(tau) + 1):
+            for sigma in combinations(tau, k):
+                assert pair_restriction_surjective(c, sigma, tau, field) == \
+                    oracle_restriction_surjective(fl, sigma, tau, field.p), \
+                    (sigma, tau)
+
+
+@settings(max_examples=25)
 @given(facet_lists, facet_lists, st.sampled_from([QQ, GF3]))
 def test_excision_disjoint_union(fl_a, fl_b, field):
     a = build(fl_a)
@@ -204,9 +232,13 @@ def test_euler_from_betti_matches_f_alternation(fl, field):
 def test_euler_check_raises_on_corrupted_ranks(monkeypatch, octahedron):
     # one boundary rank too many: it lowers the top Betti number and has
     # no degree above to cancel it in the alternating sum
-    real = homology._boundary_ranks
-    monkeypatch.setattr(homology, "_boundary_ranks",
-                        lambda c, field: real(c, field) + (1,))
+    real = homology._relative_data
+
+    def one_rank_too_many(c, t, field):
+        counts, ranks = real(c, t, field)
+        return counts, {**ranks, c.dim + 1: 1}
+
+    monkeypatch.setattr(homology, "_relative_data", one_rank_too_many)
     clear_caches()
     with pytest.raises(InvariantError, match="Euler characteristic"):
         reduced_betti(octahedron, QQ)

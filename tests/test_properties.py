@@ -139,6 +139,16 @@ def test_find_balanced_coloring(octahedron):
         find_balanced_coloring(build([(1, 2, 3), (4, 5)]))
 
 
+def test_find_balanced_coloring_on_a_long_path():
+    # the search goes one vertex deeper per step, so it must not recurse
+    path = build([(v, v + 1) for v in range(2999)])
+    coloring = find_balanced_coloring(path)
+    assert coloring is not None and coloring is not UNKNOWN
+    assert {coloring.assignment[v] for v in (0, 1)} == {1, 2}
+    coloring.validate(path)
+    assert find_balanced_coloring(path, max_nodes=2) is UNKNOWN
+
+
 def test_rank_selected(octahedron_colored):
     octahedron, coloring = octahedron_colored
     assert rank_selected(octahedron, coloring, {1, 2, 3}) == octahedron
