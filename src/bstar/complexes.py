@@ -7,12 +7,13 @@ lexicographic order (integers before strings).  Complexes are immutable
 after construction, so every operation returns a fresh canonical complex
 and may be evaluated concurrently without coordination.
 
-Each complex also has an index form: its facets with every vertex replaced
-by its position in ``vertices``.  It is again canonical, and two complexes
-have the same index form exactly when an order-preserving relabelling
-takes one to the other.  ``link`` and ``delete`` work on vertex positions
-and bitmasks (bit i for the i-th vertex) and hand their result its vertices
-and index form, so no labels are sorted again.
+A complex stores only its sorted vertices and its index form: the facets
+with every vertex replaced by its position in ``vertices``.  The index form
+is again canonical, and two complexes share it exactly when an
+order-preserving relabelling takes one to the other.  Label facets are
+derived on first use.  ``build`` sorts the labels once, and ``link``,
+``delete`` and ``connected_components`` work on positions and bitmasks
+(bit i for the i-th vertex), so they sort no labels.
 
 The void complex (no faces at all) is distinct from the empty complex
 ``{()}`` whose only face is the empty face.
@@ -21,7 +22,7 @@ The void complex (no faces at all) is distinct from the empty complex
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Label = Union[int, str]
 Face = tuple  # sorted duplicate-free tuple of labels
@@ -72,6 +73,31 @@ def as_face(vertices: Iterable[Label]) -> Face:
     return tuple(sorted(vs, key=label_key))
 
 
+def index_faces(faces: Sequence[Face]) -> tuple:
+    """The sorted vertex set of the given faces, and the faces with every
+    vertex replaced by its position in it, in their given order.
+
+    Raises TypeError if the labels have no common order.
+    """
+    vertices = tuple(sorted({v for f in faces for v in f}, key=label_key))
+    pos = {v: i for i, v in enumerate(vertices)}.__getitem__
+    return vertices, tuple([tuple(map(pos, f)) for f in faces])
+
+
+def _maximal(faces: dict) -> tuple:
+    """The faces (position tuples, keyed by distinct vertex bitmasks) that
+    no other face contains, in lexicographic order.  Masks of one size
+    never contain each other and containment is transitive, so each mask
+    is compared only with the larger masks kept so far."""
+    by_size: dict = {}
+    for m in faces:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    kept: list = []
+    for size in sorted(by_size, reverse=True):
+        kept += [m for m in by_size[size] if not any(m & g == m for g in kept)]
+    return tuple(sorted(map(faces.__getitem__, kept)))
+
+
 def build(facet_list: Iterable[Iterable[Label]]) -> "Complex":
     """Build the canonical complex generated by the given faces.
 
@@ -79,38 +105,32 @@ def build(facet_list: Iterable[Iterable[Label]]) -> "Complex":
     another entry are dropped.  An empty input yields the void complex,
     ``[[]]`` yields the empty complex {()}.
     """
-    candidates = {as_face(f) for f in facet_list}
-    if not candidates:
-        return Complex(())
-    sets = {f: frozenset(f) for f in candidates}
-    maximal = [
-        f for f in candidates
-        if not any(f is not g and sets[f] < sets[g] for g in candidates)
-    ]
-    maximal.sort(key=face_key)
-    return Complex(tuple(maximal))
+    vertices, index = index_faces([as_face(f) for f in facet_list])
+    bit = [1 << i for i in range(len(vertices))]
+    return Complex(vertices,
+                   _maximal({sum(map(bit.__getitem__, f)): f for f in index}))
 
 
 class Complex:
-    """Immutable simplicial complex given by canonical facets.
+    """Immutable simplicial complex, stored as ``vertices`` (sorted) and
+    ``index_form`` (the facets as tuples of positions in ``vertices``).
 
     Use :func:`build` rather than the constructor; the constructor assumes
-    its argument is already canonical (sorted, pairwise incomparable), and
-    that ``vertices`` and ``index``, when given, are those of the facets.
+    ``index`` is canonical and uses every vertex.  The label facets, face
+    sets, facet bitmasks and position map are derived on first use.
     """
 
-    __slots__ = ("facets", "dim", "_vertices", "_faces", "_by_dim", "_hash",
-                 "_index", "_masks", "_pos", "_pure")
+    __slots__ = ("vertices", "index_form", "dim", "_facets", "_faces",
+                 "_by_dim", "_masks", "_pos", "_pure")
 
-    def __init__(self, facets: tuple, vertices=None, index=None):
-        self.facets = facets
+    def __init__(self, vertices: tuple, index: tuple):
+        self.vertices = vertices
+        self.index_form = index
         # dimension (max facet dimension); None for the void complex
-        self.dim = max(map(len, facets)) - 1 if facets else None
-        self._vertices = vertices
+        self.dim = max(map(len, index)) - 1 if index else None
+        self._facets = None
         self._faces = None
         self._by_dim = None
-        self._hash = None
-        self._index = index
         self._masks = None
         self._pos = None
         self._pure = None
@@ -118,37 +138,27 @@ class Complex:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def facets(self) -> tuple:
+        """The facets as sorted label tuples, in lexicographic order."""
+        if self._facets is None:
+            label = self.vertices.__getitem__
+            self._facets = tuple([tuple(map(label, f)) for f in self.index_form])
+        return self._facets
+
+    @property
     def is_void(self) -> bool:
         """True for the complex with no faces at all."""
-        return not self.facets
+        return not self.index_form
 
     @property
     def is_pure(self) -> bool:
         if self._pure is None:
-            self._pure = len(set(map(len, self.facets))) <= 1
+            self._pure = len(set(map(len, self.index_form))) <= 1
         return self._pure
-
-    @property
-    def vertices(self) -> tuple:
-        if self._vertices is None:
-            self._vertices = tuple(
-                sorted({v for f in self.facets for v in f}, key=label_key))
-        return self._vertices
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    @property
-    def index_form(self) -> tuple:
-        """The facets with each vertex replaced by its position in
-        ``vertices``: the same tuple for every order-preserving relabelling
-        of the complex, and itself canonical."""
-        if self._index is None:
-            pos = self._positions()
-            self._index = tuple(tuple(map(pos.__getitem__, f))
-                                for f in self.facets)
-        return self._index
 
     def _positions(self) -> dict:
         if self._pos is None:
@@ -266,16 +276,11 @@ class Complex:
         for f, m in zip(self.index_form, self._facet_masks()):
             m &= ~rm
             if m not in stripped:
-                stripped[m] = f
-        maximal = sorted(tuple(i for i in f if not rm >> i & 1)
-                         for m, f in stripped.items()
-                         if not any(m != g and m & g == m for g in stripped))
-        rest = 0
-        for m in stripped:
-            rest |= m
-        return self._induced(maximal, rest)
+                stripped[m] = tuple(i for i in f if not rm >> i & 1)
+        rest = ((1 << self.n_vertices) - 1) & ~rm  # every vertex is in a facet
+        return self._induced(_maximal(stripped), rest)
 
-    def _induced(self, index_facets: list, mask: int) -> "Complex":
+    def _induced(self, index_facets, mask: int) -> "Complex":
         """The complex on the vertices whose bits are set in ``mask``, with
         the given facets (tuples of positions in this complex) cut down to
         those vertices; the cut-down facets must be canonical and ordered."""
@@ -285,12 +290,9 @@ class Complex:
             if mask >> i & 1:
                 remap[i] = len(vertices)
                 vertices.append(v)
-        vertices = tuple(vertices)
         kept, new = (-1).__lt__, remap.__getitem__
-        index = tuple([tuple(filter(kept, map(new, f))) for f in index_facets])
-        label = vertices.__getitem__
-        facets = tuple([tuple(map(label, f)) for f in index])
-        return Complex(facets, vertices, index)
+        return Complex(tuple(vertices), tuple(
+            [tuple(filter(kept, map(new, f))) for f in index_facets]))
 
     def join(self, other: "Complex") -> "Complex":
         """Simplicial join; vertex sets must be disjoint."""
@@ -298,12 +300,7 @@ class Complex:
         if overlap:
             raise LabelCollisionError(
                 f"join factors share labels: {sorted(overlap, key=label_key)!r}")
-        gens = [
-            tuple(sorted(f + g, key=label_key))
-            for f in self.facets
-            for g in other.facets
-        ]
-        return build(gens)
+        return build([f + g for f in self.facets for g in other.facets])
 
     def skeleton(self, j: int) -> "Complex":
         """All faces of dimension at most j (j >= -1)."""
@@ -347,25 +344,27 @@ class Complex:
             raise ComplexError("components of the void complex are undefined")
         if not self.vertices:
             return [self]
-        parent = {v: v for v in self.vertices}
+        parent = list(range(len(self.vertices)))
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
 
-        for f in self.facets:
+        for f in self.index_form:
             for a, b in zip(f, f[1:]):
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb
+        # components in the order of their first facets
         groups: dict = {}
-        for f in self.facets:
-            groups.setdefault(find(f[0]), []).append(f)
-        comps = [Complex(tuple(sorted(g, key=face_key))) for g in groups.values()]
-        comps.sort(key=lambda c: face_key(c.facets[0]))
-        return comps
+        masks: dict = {}
+        for f, m in zip(self.index_form, self._facet_masks()):
+            root = find(f[0])
+            groups.setdefault(root, []).append(f)
+            masks[root] = masks.get(root, 0) | m
+        return [self._induced(g, masks[root]) for root, g in groups.items()]
 
     def relabel(self, mapping: Mapping[Label, Label]) -> "Complex":
         """Rename vertices through a bijective mapping covering all vertices."""
@@ -383,9 +382,7 @@ class Complex:
         return isinstance(other, Complex) and self.facets == other.facets
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.facets)
-        return self._hash
+        return hash(self.facets)
 
     def __iter__(self) -> Iterator:
         return iter(self.faces())

@@ -53,7 +53,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .complexes import Complex, FaceNotPresentError, NotPureError
+from .complexes import Complex, FaceNotPresentError, NotPureError, index_faces
 from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
                      rank)
 
@@ -345,7 +345,7 @@ def save_betti_cache(path, complexes=None, held=None) -> None:
     wanted: dict = {}   # index form -> the facets asked for with it
     if complexes is not None:
         for facets in complexes:
-            wanted.setdefault(Complex(facets).index_form, []).append(facets)
+            wanted.setdefault(index_faces(facets)[1], []).append(facets)
     entries = {}
     for key, bv in list(_cache.items()):
         if key[0] != "betti":
@@ -408,7 +408,7 @@ def load_betti_cache(path, held=None) -> int:
                              f"of {size} non-negative ints")
         bv = BettiVector(tuple(values), field)
         try:
-            index = Complex(facets).index_form
+            index = index_faces(facets)[1]
         except TypeError:  # labels with no common order: no complex has them
             loaded[facets, label] = bv
         else:

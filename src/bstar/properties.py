@@ -168,7 +168,7 @@ def _memoised(prop: str):
             found = _cached(key)
             if found is None:
                 report = compute(c, *args)
-                position = {v: i for i, v in enumerate(c.vertices)}.__getitem__
+                position = c._positions().__getitem__
                 found = _store(key, (report.verdict,
                                      _map_witness(report.witness, position)))
             verdict, witness = found

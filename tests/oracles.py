@@ -35,6 +35,33 @@ def downward_closure(facets):
     return out
 
 
+def oracle_maximal_faces(faces):
+    """The distinct faces that no other face strictly contains, as sorted
+    label tuples in lexicographic order, by comparing every pair of faces
+    as frozensets (the rule ``build`` used before it worked on bitmasks)."""
+    candidates = {tuple(sorted(f, key=_key)) for f in faces}
+    sets = {f: frozenset(f) for f in candidates}
+    return sorted((f for f in candidates
+                   if not any(sets[f] < sets[g] for g in candidates)),
+                  key=lambda f: tuple(_key(v) for v in f))
+
+
+def oracle_components(facets):
+    """The classes of the facets under "shares a vertex with", closed
+    transitively; each class keeps the given facet order, and the classes
+    are ordered by their first facet."""
+    classes = []    # (vertex set, indices of its facets)
+    for i, f in enumerate(facets):
+        vertices, members = set(f), [i]
+        for joined in [c for c in classes if c[0] & vertices]:
+            classes.remove(joined)
+            vertices |= joined[0]
+            members += joined[1]
+        classes.append((vertices, members))
+    return [[facets[i] for i in sorted(members)]
+            for _, members in sorted(classes, key=lambda c: min(c[1]))]
+
+
 def oracle_f_vector(facets):
     faces = downward_closure(facets)
     top = max(len(f) for f in faces) - 1

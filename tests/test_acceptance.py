@@ -3,9 +3,11 @@ tolerance (all values are exact integers or booleans) and within its
 stated runtime budget where one is given.  Each test prints a single
 PASS/FAIL line."""
 
+import itertools
+import json
 import time
 
-from bstar import run_suite
+from bstar import build, parse_text, run_suite
 
 
 def _run(suite_name, label, budget=None, **kwargs):
@@ -81,3 +83,25 @@ def test_criterion_11_property_hierarchy():
     _run("hierarchy",
          "criterion 11: Buchsbaum* consequences and exhaustive (b)/(c) "
          "agreement")
+
+
+def _timed(label, budget, make):
+    start = time.perf_counter()
+    out = make()
+    elapsed = time.perf_counter() - start
+    print(f"{'PASS' if elapsed < budget else 'FAIL'} {label} ({elapsed:.2f}s)")
+    assert elapsed < budget, f"{label}: {elapsed:.2f}s over {budget}s budget"
+    return out
+
+
+def test_scale_parse_long_path():
+    text = json.dumps({"facets": [[i, i + 1] for i in range(10000)]})
+    cf = _timed("scale: parse a 10,000-edge path", 2.0,
+                lambda: parse_text(text))
+    assert len(cf.complex.facets) == 10000 and cf.complex.n_vertices == 10001
+
+
+def test_scale_build_all_triangles_on_40_vertices():
+    c = _timed("scale: build the 9,880 triangles on 40 vertices", 2.0,
+               lambda: build(itertools.combinations(range(40), 3)))
+    assert len(c.facets) == 9880 and c.vertices == tuple(range(40))

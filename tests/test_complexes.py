@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bstar import (ComplexError, FaceNotPresentError,
@@ -11,7 +11,8 @@ from bstar import (ComplexError, FaceNotPresentError,
                    simplex_boundary)
 from bstar.complexes import face_key
 
-from oracles import downward_closure, oracle_f_vector
+from oracles import (downward_closure, oracle_components, oracle_f_vector,
+                     oracle_maximal_faces)
 
 small_faces = st.sets(st.integers(0, 6), min_size=1, max_size=4)
 facet_lists = st.lists(small_faces, min_size=1, max_size=8)
@@ -320,12 +321,14 @@ def _fresh(c):
 
 @given(mixed_facet_lists, st.data())
 def test_link_and_delete_carry_the_index_form_of_their_labels(fl, data):
-    # link and delete hand their result its vertices and index form, built
-    # from the parent's vertex positions rather than from the new labels
+    # link, delete and connected_components hand their result its vertices
+    # and index form, built from the parent's vertex positions rather than
+    # from the new labels
     c = build(fl)
     faces = sorted(c.faces(), key=face_key)
     removed = data.draw(st.sets(st.sampled_from(c.vertices), max_size=3))
-    for child in (c.link(data.draw(st.sampled_from(faces))), c.delete(removed)):
+    for child in (c.link(data.draw(st.sampled_from(faces))), c.delete(removed),
+                  *c.connected_components()):
         fresh = _fresh(child)
         assert child.facets == fresh.facets
         assert child.vertices == fresh.vertices
@@ -355,3 +358,48 @@ def test_index_form_examples(triangle_boundary):
     link = hexagon.link(("n",))
     assert link.vertices == (1, 2, 3, 4, 5, 6)
     assert link.index_form == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
+
+
+# 1 and "1" are distinct labels; ints sort before strs
+mixed_labels = st.sampled_from([1, 2, 3, 5, "1", "n", "s"])
+
+
+@st.composite
+def redundant_facet_lists(draw):
+    """Faces in any vertex order, some repeated and some dominated by
+    another entry."""
+    faces = draw(st.lists(st.lists(mixed_labels, unique=True, max_size=4),
+                          max_size=6))
+    extra = []
+    for f in faces:
+        if draw(st.booleans()):
+            extra.append(draw(st.permutations(f)))
+        if f and draw(st.booleans()):
+            extra.append(f[:draw(st.integers(0, len(f) - 1))])
+    return draw(st.permutations(faces + extra))
+
+
+@given(redundant_facet_lists())
+@example([])
+@example([[]])
+@example([[], [], ["s"], [1, "s"]])
+def test_build_matches_the_pairwise_dominance_oracle(fl):
+    c = build(fl)
+    want = tuple(oracle_maximal_faces(fl))
+    assert c.facets == want
+    labels = {v for f in want for v in f}
+    assert c.vertices == tuple(sorted(labels, key=lambda v: (type(v) is str, v)))
+    assert c.index_form == tuple(tuple(map(c.vertices.index, f)) for f in want)
+    assert c.facets == tuple(tuple(c.vertices[i] for i in f)
+                             for f in c.index_form)
+
+
+@given(mixed_facet_lists)
+@example([[]])
+def test_connected_components_are_the_shared_vertex_classes(fl):
+    c = build(fl)
+    comps = c.connected_components()
+    assert [list(x.facets) for x in comps] == oracle_components(c.facets)
+    for x in comps:
+        assert x.vertices == tuple(v for v in c.vertices
+                                   if any(v in f for f in x.facets))
