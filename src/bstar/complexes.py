@@ -88,13 +88,26 @@ def _maximal(faces: dict) -> tuple:
     """The faces (position tuples, keyed by distinct vertex bitmasks) that
     no other face contains, in lexicographic order.  Masks of one size
     never contain each other and containment is transitive, so each mask
-    is compared only with the larger masks kept so far."""
+    is compared only with the larger masks kept so far.  A mask containing
+    it contains each of its vertices, so of those only the ones through
+    the vertex of it that the fewest kept masks contain are compared."""
+    if not faces:
+        return ()
     by_size: dict = {}
     for m in faces:
         by_size.setdefault(m.bit_count(), []).append(m)
-    kept: list = []
-    for size in sorted(by_size, reverse=True):
-        kept += [m for m in by_size[size] if not any(m & g == m for g in kept)]
+    sizes = sorted(by_size, reverse=True)
+    kept = fresh = by_size[sizes[0]]
+    through: dict = {}  # vertex position -> the kept masks containing it
+    for size in sizes[1:]:
+        for m in fresh:
+            for v in faces[m]:
+                through.setdefault(v, []).append(m)
+        # the empty face (no vertex) lies in every kept mask
+        fresh = [m for m in by_size[size] if not any(
+            m & g == m for g in min([through.get(v, ()) for v in faces[m]],
+                                    key=len, default=kept))]
+        kept = kept + fresh
     return tuple(sorted(map(faces.__getitem__, kept)))
 
 

@@ -24,16 +24,20 @@ kinds are:
 - ``report``: the property reports of :mod:`bstar.properties` per
   predicate, complex, field (and m), witnesses as vertex positions;
 - ``star``: per complex and face tau, given as a bitmask of vertex
-  positions, the basis indices of the faces containing tau, shared by
-  every field;
-- ``rel_kernel``: per complex, tau and field, the top kernel of the
-  quotient complex, its rows keyed by facet basis index (at tau empty,
-  the top cycle space).
+  positions, the basis indices of the faces containing tau in every
+  degree, shared by every field; only relative Betti vectors use it;
+- ``rel_kernel``: per complex, source face sigma of a restriction test
+  and field, a basis of the top cycles of the quotient complex, its rows
+  keyed by facet basis index and its entries ints (at sigma empty, the
+  top cycle space);
+- ``nullity``: per complex, target face tau of a restriction test and
+  field, the basis indices of the facets containing tau and the
+  dimension of the quotient complex's top cycle space, from one rank.
 
-The ranks of the quotient complex are recomputed from ``star`` on every
-call, since they are rarely asked for twice.  Complexes that differ by an
-order-preserving relabelling share every entry, and that is exact: such
-a relabelling keeps the lexicographic order of the faces and every
+The ranks behind relative Betti vectors are recomputed from ``star`` on
+every call, since they are rarely asked for twice.  Complexes that differ
+by an order-preserving relabelling share every entry, and that is exact:
+such a relabelling keeps the lexicographic order of the faces and every
 boundary sign, which depend only on vertex positions, so the bases,
 matrices, ranks, kernel bases and first violations are the same.  No
 entry holds a label; faces are mapped back through the vertices of the
@@ -52,6 +56,7 @@ import threading
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import lcm
 
 from .complexes import Complex, FaceNotPresentError, NotPureError, index_faces
 from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
@@ -260,36 +265,65 @@ def _checked_face(c: Complex, tau) -> tuple:
     return t
 
 
-def _relative_top_kernel(c: Complex, t: int, field: CoefficientField):
+def _top_boundary(c: Complex, t: int) -> tuple:
     """The basis indices of the facets containing the face with vertex
-    bitmask t, and the top kernel of its quotient complex with rows keyed
-    by facet basis index (at t = 0, the top cycle space)."""
-    key = ("rel_kernel", c.index_form, t, field.label)
+    bitmask t, and the top boundary of the quotient complex at t: its rows
+    are the ridges containing t, its columns those facets."""
+    boundaries, masks = _chain_data(c)
+    cols = [i for i, m in enumerate(masks[-1]) if m & t == t]
+    rows = [i for i, m in enumerate(masks[-2]) if m & t == t]
+    return cols, boundaries[-1].submatrix(rows, cols)
+
+
+def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
+    """A basis of the top cycles of the quotient complex at the face with
+    vertex bitmask s (at s = 0, the top cycle space) as matrix columns,
+    rows keyed by facet basis index.  Each column is the RREF kernel
+    vector times the lcm of its denominators, so every entry is an int."""
+    key = ("rel_kernel", c.index_form, s, field.label)
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    boundaries, _ = _chain_data(c)
-    sel = _superset_indices(c, t)
-    top = c.dim
-    cols = sel[top]
-    rows = sel.get(top - 1, [])
-    k = kernel_basis(boundaries[top].submatrix(rows, cols), field)
-    by_facet = {cols[i]: row for i, row in k.rows.items()}
-    return _store(key, (cols, Matrix._of_rows(boundaries[top].ncols, k.ncols,
-                                              by_facet)))
+    cols, sub = _top_boundary(c, s)
+    k = kernel_basis(sub, field)
+    den = [1] * k.ncols
+    for row in k.rows.values():
+        for j, v in row.items():
+            den[j] = lcm(den[j], v.denominator)
+    rows = {cols[i]: {j: v.numerator * (den[j] // v.denominator)
+                      for j, v in row.items()} for i, row in k.rows.items()}
+    n_facets = _chain_data(c)[0][-1].ncols
+    return _store(key, Matrix._of_rows(n_facets, k.ncols, rows))
+
+
+def _target_nullity(c: Complex, t: int, field: CoefficientField) -> tuple:
+    """The basis indices of the facets containing the face with vertex
+    bitmask t, and the dimension of the relative top cycle space there:
+    the number of those facets minus the rank of the quotient complex's
+    top boundary."""
+    key = ("nullity", c.index_form, t, field.label)
+    cached = _cache.get(key)
+    if cached is not None:
+        return cached
+    cols, sub = _top_boundary(c, t)
+    return _store(key, (cols, len(cols) - rank(sub, field)))
 
 
 def _restriction_surjective(c: Complex, s: int, t: int,
                             field: CoefficientField) -> bool:
     """Whether relative top homology at the face with vertex bitmask s
-    (0: absolute top homology) maps onto that at its superset t: relative
-    top homology is the relative cycle space, and the map projects onto
-    the facets containing t."""
-    rows_t, target_kernel = _relative_top_kernel(c, t, field)
-    z_dim = target_kernel.ncols
+    (0: absolute top homology) maps onto that at its superset t.
+
+    Relative top homology is the relative top cycle space Z, and the map
+    projects Z_s onto the facets containing t, into Z_t.  So it is onto
+    exactly when the projected basis of Z_s has rank dim Z_t, and by
+    rank-nullity dim Z_t = (facets containing t) - rank of the top
+    boundary of the quotient complex at t: only the source needs a basis.
+    """
+    rows_t, z_dim = _target_nullity(c, t, field)
     if z_dim == 0:
         return True
-    _, source = _relative_top_kernel(c, s, field)
+    source = _source_cycles(c, s, field)
     return rank(source.take_rows(rows_t), field) == z_dim
 
 

@@ -16,6 +16,8 @@ mod p and each pivot row is scaled to a leading 1.  rank stops after
 forward elimination; rref and kernel_basis also back-substitute, and only
 their output turns into Fractions.  The reduced row echelon form is
 unique, so results do not depend on the order rows are eliminated in.
+rank skips elimination on a matrix with at most one row or one column:
+its rank is 1 exactly when some entry is non-zero in the field.
 """
 
 from __future__ import annotations
@@ -356,6 +358,11 @@ def rref(m: Matrix, field: CoefficientField):
 
 def rank(m: Matrix, field: CoefficientField) -> int:
     """Rank of the matrix over the given field."""
+    if m.nrows <= 1 or m.ncols <= 1:
+        # 1 iff some entry is non-zero in the field.  Over F_p every entry
+        # is converted, so a vanishing denominator raises as it does below.
+        return int(bool(m.rows if field.p is None
+                        else _int_rows(m.rows, field)))
     return len(_echelon(m, field, reduced=False))
 
 

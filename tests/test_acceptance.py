@@ -105,3 +105,13 @@ def test_scale_build_all_triangles_on_40_vertices():
     c = _timed("scale: build the 9,880 triangles on 40 vertices", 2.0,
                lambda: build(itertools.combinations(range(40), 3)))
     assert len(c.facets) == 9880 and c.vertices == tuple(range(40))
+
+
+def test_scale_parse_long_path_with_its_vertices():
+    # a file listing every face, not only the facets: 10,001 dominated
+    # vertices meet 10,000 larger faces
+    faces = [[i, i + 1] for i in range(10000)] + [[i] for i in range(10001)]
+    text = json.dumps({"facets": faces})
+    cf = _timed("scale: parse a 10,000-edge path listed with its vertices",
+                2.0, lambda: parse_text(text))
+    assert len(cf.complex.facets) == 10000 and cf.complex.n_vertices == 10001

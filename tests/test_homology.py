@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from bstar import (GF2, GF3, QQ, BettiVector, FaceNotPresentError,
                    InvariantError, MalformedFaceError, build, chain_complex,
                    clear_caches, fixture, fixture_names,
-                   pair_restriction_surjective, reduced_betti, relative_betti,
-                   relative_betti_vector, simplex, top_restriction_surjective)
+                   pair_restriction_surjective, rank, reduced_betti,
+                   relative_betti, relative_betti_vector, simplex,
+                   top_restriction_surjective)
 from bstar import homology
 from bstar.homology import load_betti_cache, save_betti_cache
+from bstar.linalg import product_is_zero
 
 from oracles import oracle_betti, oracle_restriction_surjective
 
@@ -204,6 +206,27 @@ def test_restriction_maps_match_rank_nullity_oracle(fl, field):
                 assert pair_restriction_surjective(c, sigma, tau, field) == \
                     oracle_restriction_surjective(fl, sigma, tau, field.p), \
                     (sigma, tau)
+
+
+@settings(max_examples=25)
+@given(pure_facet_lists, st.sampled_from([QQ, GF2, GF3]))
+def test_source_cycle_bases_span_the_target_nullity(fl, field):
+    """At every face, the stored cycle basis of a source lies on the
+    facets containing the face, has int entries over Q, is annihilated by
+    the quotient complex's top boundary, and has as many independent
+    columns as the target's rank-nullity count."""
+    c = build(fl)
+    for face in c.faces_sorted():
+        s = c.vertex_mask(face)
+        basis = homology._source_cycles(c, s, field)
+        cols, boundary = homology._top_boundary(c, s)
+        assert set(basis.rows) <= set(cols)
+        if field is QQ:
+            assert all(type(v) is int for v in basis.entries.values())
+        on_cols = basis.take_rows(cols)
+        assert product_is_zero(boundary, on_cols, field)
+        assert rank(on_cols, field) == basis.ncols
+        assert homology._target_nullity(c, s, field) == (cols, basis.ncols)
 
 
 @settings(max_examples=25)

@@ -105,6 +105,35 @@ def test_rank_matches_sympy(m):
     assert rank(m, GF3) == oracle_rank(m.to_rows(), 3)
 
 
+# 1xn, nx1 (1x1 included) and 0-size matrices, which rank answers
+# without elimination, with int and Fraction entries and zeros.
+thin_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.sampled_from([(1, n), (n, 1), (0, n), (n, 0)])).flatmap(
+    lambda shape: st.lists(
+        st.one_of(st.just(0), st.integers(-6, 6),
+                  st.fractions(max_denominator=10)),
+        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+        lambda values: Matrix(*shape, {divmod(k, shape[1]): v
+                                       for k, v in enumerate(values)})))
+
+
+@given(thin_matrices)
+def test_thin_rank_matches_sympy(m):
+    assert m.nrows <= 1 or m.ncols <= 1
+    values = list(m.entries.values())
+    for field, p in FIELDS:
+        if p is not None and any(Fraction(v).denominator % p == 0
+                                 for v in values):
+            with pytest.raises(ZeroDivisionError):
+                rank(m, field)
+            continue
+        # Scaling by the common denominator keeps the rank here, since
+        # every denominator is invertible in the field.
+        den = lcm(*(Fraction(v).denominator for v in values))
+        scaled = [[int(v * den) for v in row] for row in m.to_rows()]
+        assert rank(m, field) == oracle_rank(scaled, p)
+
+
 @given(int_matrices)
 def test_prime_rank_bounded_by_rational_rank(m):
     rq = rank(m, QQ)
@@ -243,6 +272,10 @@ def test_vanishing_denominator_raises_in_prime_field():
     for routine in (rank, rref, kernel_basis):
         with pytest.raises(ZeroDivisionError):
             routine(half, GF2)
+    # a non-zero entry ahead of the bad one does not end the check
+    for thin in ([[1, Fraction(1, 2)]], [[1], [Fraction(1, 2)]]):
+        with pytest.raises(ZeroDivisionError):
+            rank(Matrix.from_rows(thin), GF2)
     assert rank(half, GF3) == 2
     assert rank(half, QQ) == 2
 

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from bstar import (GF2, InfeasibleParameterError, UnknownSuiteError,
                    __version__, corpus, explore_question,
-                   random_balanced_complex, random_pure_complex, run_suite)
+                   random_balanced_complex, random_pure_complex, run_suite,
+                   suite_names)
 
 
 def test_unknown_suite():
@@ -106,3 +110,47 @@ def test_explorer_exhaustive_six_vertex_graphs():
     assert rep.passed and not rep.incomplete
     summary = [c for c in rep.cases if "no_violation" in c.case_id]
     assert summary and "checked=" in summary[0].case_id
+
+
+# SHA-256 of json.dumps(to_dict() without duration_s, sort_keys=True,
+# separators=(",", ":")) per (suite, seed).  Any change to a verdict,
+# witness, case id or note of any suite changes its digest; a deliberate
+# change to a report updates these literals in the same commit.
+SUITE_DIGESTS = {
+    ("balanced-lbt", 0): "d1fd6fe23b598371099a94b646678f6009f3c2000a48015abe453e5d87208474",
+    ("balanced-lbt", 1): "1b2b27e098beb9dec910b8c1cb7e428a0ee0e845e6abfb236beae1a252318701",
+    ("euler-corollary", 0): "385e24b51349c4e54094da598452f405d515433c6c1efb5aede2b37b91a124a9",
+    ("euler-corollary", 1): "9006dcae337ed23939321795702c718eeb07ca25dea85febeecdf11398867103",
+    ("flag-lower-bound", 0): "c3b34bf8abffc9f8127129ebf1af4c651b5b9b398fc7cdf320f97a513786ef6a",
+    ("flag-lower-bound", 1): "79dff2c3771accb4cff5961c502cdf74f440250bbc96eb33c95156ca804fcc2f",
+    ("h3-bound", 0): "86b75fa77fc134d77e3196e4bd4dd7bad4e05159e4b4ba89473514dc03546071",
+    ("h3-bound", 1): "b7ee7482fc606da8384825506a6749acb56201dd9a3db9e3a716b0e293c535ba",
+    ("hierarchy", 0): "f5e43e658aa2d013b2ec873c99375724c97d58bccb1a63e34eee0e6a2198a005",
+    ("hierarchy", 1): "5540e54c96812d5084b48a023baf9b6c915ebed6410daf0e476744931f580801",
+    ("lemma-oracle", 0): "83b4c65ee4d7fe56ebb138c8347fc8ae56bbbd0da0b6ad67c85c3d4a26a1264e",
+    ("lemma-oracle", 1): "857019eb8efcaa22fb3efdd62beaa69c593a076e439a7cb129e966c085500a85",
+    ("m-rank-selection", 0): "cddee98ffe9326e4a7d5d0553546c25445b180e04990d39a39bca1aa68e1f5b1",
+    ("m-rank-selection", 1): "76d2b2cc95438ca5a341c44281817075e51adfeb0635f8cf1febad9a995d8bdc",
+    ("orientability-rp2", 0): "c9774c4d3fa7d8b272fbcb336c1bd8e952c6c0a611b5a0fe8f6ac95d7de8f0cf",
+    ("orientability-rp2", 1): "2dba3a31c0dc6c5e3c648b6f31b99a2c4ce8b45ef5a5d3ce0067f4ed73d463eb",
+    ("rank-selection", 0): "88b8d7bfa44fe7e991c989dd097676b90b090171252c90ef85f246b9d0badfc3",
+    ("rank-selection", 1): "9e4e4e4594c9faaf9d47d66364cebf048d824a381da57b03cc3e2940d8997b4b",
+    ("stanley-hnums", 0): "b61e7f356279e0fec4bd026a0df00990ef3a85032bf93317f01ea77c273f39ff",
+    ("stanley-hnums", 1): "74f4947f745c7d4963aa9aeb15e73b90692dd033bb23778eaeabc8caa3213713",
+    ("swartz-identity", 0): "3cab74a8976153766d2a6be5b7af1058eb030793a20c42f66006c2b84d3ec2a9",
+    ("swartz-identity", 1): "ed42d44b0cde8a34d2f7ccb6b34d185744b8a0d80e42acdae1b38c4608c4aecf",
+}
+
+
+def _digest(report) -> str:
+    d = report.to_dict()
+    d.pop("duration_s")
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_suite_reports_are_byte_identical():
+    assert sorted({name for name, _ in SUITE_DIGESTS}) == suite_names()
+    got = {(name, seed): _digest(run_suite(name, seed=seed))
+           for name, seed in SUITE_DIGESTS}
+    assert got == SUITE_DIGESTS
