@@ -18,9 +18,8 @@ from .families import (ConstructionError, Fixture, UnknownFixtureError,
                        prefix_relabel, simplex, simplex_boundary,
                        skeleton_join_sphere, stacked_cross_polytopal_sphere)
 from .files import ComplexFile, ComplexFileError, emit, emit_text, parse, parse_text
-from .homology import (BettiVector, ChainComplexOverField, chain_complex,
-                       clear_caches, pair_restriction_surjective,
-                       reduced_betti, relative_betti, relative_betti_vector,
+from .homology import (BettiVector, clear_caches, pair_restriction_surjective,
+                       reduced_betti, relative_betti_vector,
                        top_restriction_surjective)
 from .linalg import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
                      Matrix, ShapeError, kernel_basis, rank, rref)

@@ -15,6 +15,11 @@ derived on first use.  ``build`` sorts the labels once, and ``link``,
 ``delete`` and ``connected_components`` work on positions and bitmasks
 (bit i for the i-th vertex), so they sort no labels.
 
+Faces are derived from one face table per complex: per size, the faces
+as position tuples in lexicographic order, which is also the order of the
+label faces since ``vertices`` is sorted.  The face lists, the face set,
+the f-vector and the chain bases of :mod:`bstar.homology` are views of it.
+
 The void complex (no faces at all) is distinct from the empty complex
 ``{()}`` whose only face is the empty face.
 """
@@ -55,11 +60,6 @@ class NotPureError(ComplexError):
 def label_key(v: Label):
     """Sort key giving a total order on mixed int/str labels."""
     return (1, v) if isinstance(v, str) else (0, v)
-
-
-def face_key(face: Face):
-    """Lexicographic sort key for canonical faces."""
-    return tuple(label_key(v) for v in face)
 
 
 def as_face(vertices: Iterable[Label]) -> Face:
@@ -130,11 +130,12 @@ class Complex:
 
     Use :func:`build` rather than the constructor; the constructor assumes
     ``index`` is canonical and uses every vertex.  The label facets, face
-    sets, facet bitmasks and position map are derived on first use.
+    table and its label views, facet bitmasks and position map are derived
+    on first use.
     """
 
-    __slots__ = ("vertices", "index_form", "dim", "_facets", "_faces",
-                 "_by_dim", "_masks", "_pos", "_pure")
+    __slots__ = ("vertices", "index_form", "dim", "_facets", "_table",
+                 "_labelled", "_faces", "_masks", "_pos", "_pure")
 
     def __init__(self, vertices: tuple, index: tuple):
         self.vertices = vertices
@@ -142,8 +143,9 @@ class Complex:
         # dimension (max facet dimension); None for the void complex
         self.dim = max(map(len, index)) - 1 if index else None
         self._facets = None
+        self._table = None
+        self._labelled = None
         self._faces = None
-        self._by_dim = None
         self._masks = None
         self._pos = None
         self._pure = None
@@ -192,38 +194,46 @@ class Complex:
             mask |= 1 << pos[v]
         return mask
 
+    def face_table(self) -> tuple:
+        """Per size 0 .. dim + 1, the faces as tuples of vertex positions
+        in lexicographic order, which is also the (dimension,
+        lexicographic) order of the label faces; () for the void complex."""
+        if self._table is None:
+            sizes = 0 if self.is_void else self.dim + 2
+            by_size = [set() for _ in range(sizes)]
+            for f in self.index_form:
+                for k in range(len(f) + 1):
+                    by_size[k].update(itertools.combinations(f, k))
+            self._table = tuple(tuple(sorted(faces)) for faces in by_size)
+        return self._table
+
+    def _labelled_table(self) -> tuple:
+        """The face table with every position replaced by its label; the
+        table itself when every vertex is labelled by its position."""
+        if self._labelled is None:
+            table = self.face_table()
+            if self.vertices != tuple(range(len(self.vertices))):
+                label = self.vertices.__getitem__
+                table = tuple(tuple([tuple(map(label, f)) for f in faces])
+                              for faces in table)
+            self._labelled = table
+        return self._labelled
+
     def faces(self) -> frozenset:
         """The full face set (downward closure of the facets)."""
         if self._faces is None:
-            out = set()
-            for f in self.facets:
-                for k in range(len(f) + 1):
-                    out.update(itertools.combinations(f, k))
-            self._faces = frozenset(out)
+            self._faces = frozenset(
+                itertools.chain.from_iterable(self._labelled_table()))
         return self._faces
-
-    def _faces_by_dim(self) -> dict:
-        if self._by_dim is None:
-            by_dim: dict = {}
-            for f in self.faces():
-                by_dim.setdefault(len(f) - 1, []).append(f)
-            for lst in by_dim.values():
-                lst.sort(key=face_key)
-            self._by_dim = {k: tuple(v) for k, v in by_dim.items()}
-        return self._by_dim
 
     def faces_of_dim(self, k: int) -> list:
         """All faces of dimension exactly k in lexicographic order."""
-        return list(self._faces_by_dim().get(k, ()))
+        table = self._labelled_table()
+        return list(table[k + 1]) if 0 <= k + 1 < len(table) else []
 
     def faces_sorted(self) -> list:
         """All faces ordered by (dimension, lexicographic)."""
-        out = []
-        if self.is_void:
-            return out
-        for k in range(-1, self.dim + 1):
-            out.extend(self._faces_by_dim().get(k, ()))
-        return out
+        return list(itertools.chain.from_iterable(self._labelled_table()))
 
     def canonical_face(self, face: Iterable[Label]) -> Face:
         """as_face(face), but a tuple that is a face of the complex, and so
@@ -235,6 +245,18 @@ class Complex:
     def has_face(self, face: Iterable[Label]) -> bool:
         return self.canonical_face(face) in self.faces()
 
+    def face_mask(self, face: Iterable[Label], nonempty: bool = False) -> int:
+        """The vertex bitmask of a face given as labels in any order.
+        Raises MalformedFaceError if a vertex repeats, ValueError if
+        ``nonempty`` and the face is empty, and FaceNotPresentError if it
+        is not a face of the complex."""
+        t = self.canonical_face(face)
+        if nonempty and not t:
+            raise ValueError("the empty face is not allowed here")
+        if t not in self.faces():
+            raise FaceNotPresentError(f"{t!r} is not a face")
+        return self.vertex_mask(t)
+
     # -- face-level operators ----------------------------------------------
 
     def link(self, face: Iterable[Label]) -> "Complex":
@@ -243,10 +265,7 @@ class Complex:
         The facets of the link are the facets containing tau with tau
         removed, already canonical, so no re-canonicalisation is needed.
         """
-        t = self.canonical_face(face)
-        if t not in self.faces():
-            raise FaceNotPresentError(f"{t!r} is not a face")
-        tm = self.vertex_mask(t)
+        tm = self.face_mask(face)
         # f - tau <= g - tau with tau in f and g would give f <= g, so the
         # stripped facets stay pairwise incomparable.  They also keep their
         # lexicographic order.  Let f < g contain tau and first differ at
@@ -321,13 +340,8 @@ class Complex:
             raise ValueError("skeleton dimension must be >= -1")
         if self.is_void or j >= self.dim:
             return self
-        gens: list = []
-        for f in self.facets:
-            if len(f) - 1 <= j:
-                gens.append(f)
-            else:
-                gens.extend(itertools.combinations(f, j + 1))
-        return build(gens)
+        return build([f for f in self.facets if len(f) <= j]
+                     + self.faces_of_dim(j))
 
     def missing_faces(self) -> list:
         """Minimal non-faces: tau not in the complex with every proper

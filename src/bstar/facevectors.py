@@ -9,7 +9,6 @@ reduced Betti numbers and therefore carry a field tag.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -22,8 +21,7 @@ def f_vector(c: Complex) -> tuple:
     """Face counts (f_-1, f_0, ..., f_(dim))."""
     if c.is_void:
         raise ValueError("f-vector of the void complex is undefined")
-    sizes = Counter(map(len, c.faces()))
-    return tuple(sizes[k] for k in range(c.dim + 2))
+    return tuple(map(len, c.face_table()))
 
 
 def h_from_f(f: tuple) -> tuple:

@@ -19,7 +19,8 @@ index form of a complex is its facets with each vertex replaced by its
 position in the sorted vertex list (:attr:`Complex.index_form`).  The
 kinds are:
 
-- ``chain``: chain data per complex;
+- ``chain``: chain data per complex, its bases read from the complex's
+  face table (:meth:`Complex.face_table`);
 - ``betti``: Betti vectors per complex and field;
 - ``report``: the property reports of :mod:`bstar.properties` per
   predicate, complex, field (and m), witnesses as vertex positions;
@@ -55,10 +56,10 @@ import os
 import threading
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from math import lcm
 
-from .complexes import Complex, FaceNotPresentError, NotPureError, index_faces
+from .complexes import Complex, NotPureError, index_faces
 from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
                      rank)
 
@@ -113,48 +114,17 @@ class BettiVector:
         return f"BettiVector({self.values}, {self.field.label})"
 
 
-@dataclass(frozen=True)
-class ChainComplexOverField:
-    """Ordered face bases per degree and the boundary matrices between them.
-
-    boundaries[j] is the map from degree-j chains to degree-(j-1) chains,
-    for 0 <= j <= top degree; bases[j + 1] lists the degree-j faces.
-    """
-
-    field: CoefficientField
-    bases: tuple          # bases[k] = faces of degree k-1, k = 0 .. d
-    boundaries: tuple     # boundaries[j] = boundary map of degree j
-
-    def basis(self, degree: int) -> tuple:
-        idx = degree + 1
-        if 0 <= idx < len(self.bases):
-            return self.bases[idx]
-        return ()
-
-    def boundary(self, degree: int) -> Matrix:
-        if 0 <= degree < len(self.boundaries):
-            return self.boundaries[degree]
-        return Matrix.zero(len(self.basis(degree - 1)), len(self.basis(degree)))
-
-
 def _chain_data(c: Complex):
     """Boundary matrices over the integers and, per degree, the vertex
     bitmask of each basis face (bit i for the i-th vertex of c), cached
-    per index form; the bases are the faces of each dimension in
-    lexicographic order."""
+    per index form; the bases are the rows of the face table of c, so
+    boundaries[j] maps degree-j chains to degree-(j-1) chains in the
+    order of ``c.faces_of_dim``."""
     key = ("chain", c.index_form)
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    faces = set()
-    for f in c.index_form:
-        for k in range(len(f) + 1):
-            faces.update(combinations(f, k))
-    bases = [[] for _ in range(c.dim + 2)]
-    for face in faces:
-        bases[len(face)].append(face)
-    for basis in bases:
-        basis.sort()
+    bases = c.face_table()
     bit = [1 << i for i in range(c.n_vertices)]
     masks = tuple(tuple(sum(map(bit.__getitem__, face)) for face in basis)
                   for basis in bases)
@@ -173,15 +143,6 @@ def _chain_data(c: Complex):
         if not boundaries[j - 1].matmul(boundaries[j]).is_zero:
             raise InvariantError(f"boundary of boundary is not zero in degree {j}")
     return _store(key, (tuple(boundaries), masks))
-
-
-def chain_complex(c: Complex, field: CoefficientField) -> ChainComplexOverField:
-    """The reduced chain complex of a non-void complex over the field."""
-    if c.is_void:
-        raise ValueError("the void complex has no chain complex")
-    boundaries, _ = _chain_data(c)
-    bases = tuple(tuple(c.faces_of_dim(k)) for k in range(-1, c.dim + 1))
-    return ChainComplexOverField(field, bases, boundaries)
 
 
 def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
@@ -236,8 +197,7 @@ def _relative_data(c: Complex, t: int, field: CoefficientField):
 
 def relative_betti_vector(c: Complex, tau, field: CoefficientField) -> BettiVector:
     """dim H(Delta, cost(tau)) per degree -1 .. dim, from the quotient complex."""
-    t = _checked_face(c, tau)
-    counts, ranks = _relative_data(c, c.vertex_mask(t), field)
+    counts, ranks = _relative_data(c, c.face_mask(tau, nonempty=True), field)
     return BettiVector(_betti_values(counts, ranks, c.dim), field)
 
 
@@ -248,21 +208,6 @@ def _betti_values(counts: dict, ranks: dict, top: int) -> tuple:
         values.append(counts.get(degree, 0) - ranks.get(degree, 0)
                       - ranks.get(degree + 1, 0))
     return tuple(values)
-
-
-def relative_betti(c: Complex, tau, i: int, field: CoefficientField) -> int:
-    """dim H_i(Delta, cost(tau)); equals the link Betti number shifted by
-    |tau| (the shift identity is exercised as an oracle in the tests)."""
-    return relative_betti_vector(c, tau, field)[i]
-
-
-def _checked_face(c: Complex, tau) -> tuple:
-    t = c.canonical_face(tau)
-    if not t:
-        raise ValueError("the empty face is not allowed here")
-    if t not in c.faces():
-        raise FaceNotPresentError(f"{t!r} is not a face")
-    return t
 
 
 def _top_boundary(c: Complex, t: int) -> tuple:
@@ -331,8 +276,8 @@ def top_restriction_surjective(c: Complex, tau, field: CoefficientField) -> bool
     """Whether top homology surjects onto the relative top homology at tau."""
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
-    t = _checked_face(c, tau)
-    return _restriction_surjective(c, 0, c.vertex_mask(t), field)
+    return _restriction_surjective(c, 0, c.face_mask(tau, nonempty=True),
+                                   field)
 
 
 def pair_restriction_surjective(c: Complex, sigma, tau,
@@ -346,12 +291,10 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
     t = c.canonical_face(tau)
     if not set(s).issubset(t):
         raise ValueError(f"{s!r} is not a subset of {t!r}")
-    if t not in c.faces():
-        raise FaceNotPresentError(f"{t!r} is not a face")
+    tm = c.face_mask(t)
     if s == t:
         return True
-    return _restriction_surjective(c, c.vertex_mask(s), c.vertex_mask(t),
-                                   field)
+    return _restriction_surjective(c, c.vertex_mask(s), tm, field)
 
 
 # -- optional on-disk Betti cache (used by the CLI) -------------------------

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bstar import (ComplexError, FaceNotPresentError,
+from bstar import (QQ, ComplexError, FaceNotPresentError,
                    LabelCollisionError, MalformedFaceError,
                    UnknownVertexError, as_face, build, cross_polytope,
-                   f_vector, multi_point_join, named, simplex,
+                   f_vector, is_buchsbaum_star, is_cohen_macaulay,
+                   multi_point_join, named, reduced_betti, simplex,
                    simplex_boundary)
-from bstar.complexes import face_key
+from bstar.homology import _chain_data
 
-from oracles import (downward_closure, oracle_components, oracle_f_vector,
-                     oracle_maximal_faces)
+from oracles import (downward_closure, oracle_bases, oracle_boundaries,
+                     oracle_components, oracle_f_vector, oracle_maximal_faces)
 
 small_faces = st.sets(st.integers(0, 6), min_size=1, max_size=4)
 facet_lists = st.lists(small_faces, min_size=1, max_size=8)
@@ -235,6 +236,40 @@ def test_f_vector_matches_bruteforce(fl):
     assert f_vector(c) == counts
 
 
+@given(mixed_facet_lists)
+def test_face_table_order_matches_label_oracle(fl):
+    # the face table is ordered by vertex positions; since the vertices are
+    # sorted, that must be the label order of the faces, which the chain
+    # bases and their boundary signs follow
+    c = build(fl)
+    bases = oracle_bases(c.facets)
+    assert c.faces_sorted() == [f for k in sorted(bases) for f in bases[k]]
+    boundaries, _ = _chain_data(c)
+    assert [b.to_rows() for b in boundaries] == oracle_boundaries(c.facets)
+    assert f_vector(c) == oracle_f_vector(c.facets)
+
+
+def test_face_table_of_void_and_empty_complex():
+    void, empty = build([]), build([[]])
+    assert void.faces_sorted() == [] and void.faces_of_dim(-1) == []
+    assert empty.faces_sorted() == [()] and empty.faces_of_dim(-1) == [()]
+    assert empty.faces_of_dim(-2) == [] and empty.faces_of_dim(0) == []
+    assert f_vector(empty) == (1,)
+    assert tuple(reduced_betti(empty, QQ)) == (1,)
+    assert is_cohen_macaulay(empty, QQ).verdict
+    assert is_buchsbaum_star(empty, QQ).verdict
+    for undefined, message in (
+            (f_vector, "f-vector of the void complex is undefined"),
+            (lambda c: reduced_betti(c, QQ),
+             "Betti numbers of the void complex are undefined"),
+            (lambda c: is_cohen_macaulay(c, QQ),
+             "void complex has no Cohen-Macaulay verdict"),
+            (lambda c: is_buchsbaum_star(c, QQ),
+             "void complex has no Buchsbaum verdict")):
+        with pytest.raises(ValueError, match=message):
+            undefined(void)
+
+
 def _link_by_build(c, tau):
     return build([tuple(v for v in f if v not in tau)
                   for f in c.facets if set(tau).issubset(f)])
@@ -244,7 +279,7 @@ def _link_by_build(c, tau):
 def test_link_facets_equal_rebuilt_link(fl, data):
     # link skips build: its stripped facets must already be canonical
     c = build(fl)
-    faces = sorted(c.faces(), key=face_key)
+    faces = c.faces_sorted()
     for tau in ((), data.draw(st.sampled_from(c.facets)),
                 data.draw(st.sampled_from(faces))):
         link = c.link(tau)
@@ -325,7 +360,7 @@ def test_link_and_delete_carry_the_index_form_of_their_labels(fl, data):
     # and index form, built from the parent's vertex positions rather than
     # from the new labels
     c = build(fl)
-    faces = sorted(c.faces(), key=face_key)
+    faces = c.faces_sorted()
     removed = data.draw(st.sets(st.sampled_from(c.vertices), max_size=3))
     for child in (c.link(data.draw(st.sampled_from(faces))), c.delete(removed),
                   *c.connected_components()):

@@ -123,6 +123,24 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["vectors"], ["homology"], ["check", "cm"],
+                                  ["check", "buchsbaum-star"],
+                                  ["check", "flag"]], ids=" ".join)
+def test_cli_on_void_and_empty_complex(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"facets": [[]]}')
+    void = tmp_path / "void.json"
+    void.write_text('{"facets": []}')
+    capsys.readouterr()
+    assert main(argv + [str(empty)]) == 0
+    out = capsys.readouterr()
+    assert out.out and not out.err
+    assert main(argv + [str(void)]) == 2
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_cli_deeply_nested_complex_file_exit_2(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text('{"facets": ' + "[" * 100_000 + "]" * 100_000 + "}")
