@@ -209,10 +209,11 @@ class Complex:
 
     def _labelled_table(self) -> tuple:
         """The face table with every position replaced by its label; the
-        table itself when every vertex is labelled by its position."""
+        table itself when every vertex is the int equal to its position."""
         if self._labelled is None:
             table = self.face_table()
-            if self.vertices != tuple(range(len(self.vertices))):
+            if not (all(type(v) is int for v in self.vertices)
+                    and self.vertices == tuple(range(len(self.vertices)))):
                 label = self.vertices.__getitem__
                 table = tuple(tuple([tuple(map(label, f)) for f in faces])
                               for faces in table)
@@ -286,8 +287,7 @@ class Complex:
         t = self.canonical_face(face)
         if not t:
             raise ComplexError("contrastar of the empty face is undefined")
-        if t not in self.faces():
-            raise FaceNotPresentError(f"{t!r} is not a face")
+        self.face_mask(t)  # FaceNotPresentError if t is not a face
         gens = []
         for f in self.facets:
             if set(t).issubset(f):
@@ -340,8 +340,13 @@ class Complex:
             raise ValueError("skeleton dimension must be >= -1")
         if self.is_void or j >= self.dim:
             return self
-        return build([f for f in self.facets if len(f) <= j]
-                     + self.faces_of_dim(j))
+        gens: list = []
+        for f in self.facets:
+            if len(f) - 1 <= j:
+                gens.append(f)
+            else:
+                gens.extend(itertools.combinations(f, j + 1))
+        return build(gens)
 
     def missing_faces(self) -> list:
         """Minimal non-faces: tau not in the complex with every proper

@@ -8,6 +8,7 @@ import json
 import time
 
 from bstar import build, parse_text, run_suite
+from bstar.cli import main
 
 
 def _run(suite_name, label, budget=None, **kwargs):
@@ -115,3 +116,14 @@ def test_scale_parse_long_path_with_its_vertices():
     cf = _timed("scale: parse a 10,000-edge path listed with its vertices",
                 2.0, lambda: parse_text(text))
     assert len(cf.complex.facets) == 10000 and cf.complex.n_vertices == 10001
+
+
+def test_scale_skeleton_join_sphere_on_a_20_simplex(tmp_path):
+    # the 1-skeleton of the 20-simplex: 210 edges, not the 2^21 faces of
+    # the simplex
+    out = tmp_path / "sjs.json"
+    code = _timed("scale: construct skeleton-join-sphere 20 2 2", 2.0,
+                  lambda: main(["construct", "skeleton-join-sphere", "20",
+                                "2", "2", "-o", str(out)]))
+    cx = parse_text(out.read_text()).complex
+    assert code == 0 and len(cx.facets) == 210 and cx.n_vertices == 21

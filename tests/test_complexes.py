@@ -270,6 +270,17 @@ def test_face_table_of_void_and_empty_complex():
             undefined(void)
 
 
+def test_face_lists_carry_labels_equal_to_but_not_ints():
+    # bool and float labels compare equal to the positions 0, 1 but must
+    # still come back as the complex's own labels
+    for fl in ([(False, True)], [(0.0, 1.0)]):
+        c = build(fl)
+        assert c.faces_of_dim(1) == list(c.facets) == fl
+        assert all(type(v) is type(fl[0][0])
+                   for f in c.faces_sorted() for v in f)
+        assert all(type(v) is type(fl[0][0]) for f in c.faces() for v in f)
+
+
 def _link_by_build(c, tau):
     return build([tuple(v for v in f if v not in tau)
                   for f in c.facets if set(tau).issubset(f)])
