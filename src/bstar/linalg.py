@@ -174,10 +174,6 @@ class Matrix:
                     entries[(i, j)] = v
         return cls(nrows, ncols, entries)
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(nrows, ncols)
-
     @property
     def entries(self) -> Mapping:
         """The non-zero entries as a read-only {(i, j): v} mapping."""
@@ -190,13 +186,6 @@ class Matrix:
     def __getitem__(self, key):
         i, j = key
         return self.rows.get(i, {}).get(j, 0)
-
-    def to_rows(self) -> list:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out[i][j] = v
-        return out
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Exact product over the integers/rationals (no field reduction)."""

@@ -247,6 +247,11 @@ def oracle_kernel_basis(rows, ncols, p=None):
 
 # -- matrix helpers used only by the tests -----------------------------------
 
+def dense_rows(m):
+    """The rows of m as lists, zeros included."""
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
 def identity(n):
     return Matrix(n, n, {(i, i): 1 for i in range(n)})
 

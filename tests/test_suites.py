@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from bstar import (GF2, InfeasibleParameterError, UnknownSuiteError,
-                   __version__, corpus, explore_question,
-                   random_balanced_complex, random_pure_complex, run_suite,
-                   suite_names)
+import bstar
+from bstar import (GF2, InfeasibleParameterError, InvariantError,
+                   UnknownSuiteError, __version__, clear_caches, corpus,
+                   explore_question, random_balanced_complex,
+                   random_pure_complex, run_suite, suite_names)
+from bstar import suites
 
 
 def test_unknown_suite():
@@ -154,3 +160,95 @@ def test_suite_reports_are_byte_identical():
     got = {(name, seed): _digest(run_suite(name, seed=seed))
            for name, seed in SUITE_DIGESTS}
     assert got == SUITE_DIGESTS
+
+
+# lemma-oracle and hierarchy run their second field in a forked child when
+# two CPUs are usable.  These tests report two usable CPUs, so the fork is
+# taken on a one-core host as well.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def _lemma_and_hierarchy_reports():
+    out = {}
+    for name in ("lemma-oracle", "hierarchy"):
+        for seed in (0, 1):
+            clear_caches()
+            d = run_suite(name, seed=seed).to_dict()
+            d.pop("duration_s")
+            out[name, seed] = d
+    return out
+
+
+@needs_fork
+def test_forked_and_serial_runs_give_identical_reports(monkeypatch):
+    _two_cpus(monkeypatch)
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    forked = _lemma_and_hierarchy_reports()
+    assert len(forks) == 4
+
+    # With another thread alive the fields run in this process: a fork
+    # would raise here.
+    def no_fork():
+        raise AssertionError("forked while another thread was alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    idle = threading.Thread(target=stop.wait)
+    idle.start()
+    try:
+        serial = _lemma_and_hierarchy_reports()
+    finally:
+        stop.set()
+        idle.join(timeout=10)
+    assert not idle.is_alive()
+    assert serial == forked
+
+
+@needs_fork
+@pytest.mark.parametrize("failing_field", ["Q", "F2"])
+def test_field_error_reaches_the_caller_and_leaves_no_child(monkeypatch,
+                                                            failing_field):
+    # Q runs in this process, F2 in the child.
+    _two_cpus(monkeypatch)
+    real = suites.relative_betti_vector
+
+    def failing(cx, tau, field):
+        if field.label == failing_field:
+            raise InvariantError(f"{failing_field} fails on purpose")
+        return real(cx, tau, field)
+
+    monkeypatch.setattr(suites, "relative_betti_vector", failing)
+    clear_caches()
+    with pytest.raises(InvariantError,
+                       match=f"{failing_field} fails on purpose"):
+        run_suite("lemma-oracle")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_all_prints_each_report_once():
+    # Piped stdout is block-buffered (PYTHONUNBUFFERED is dropped): a child
+    # that flushed its copy of the parent's buffer on its way out would
+    # print earlier reports twice.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(
+        os.path.dirname(os.path.abspath(bstar.__file__)))
+    run = subprocess.run([sys.executable, "-m", "bstar.cli", "verify", "all"],
+                         stdout=subprocess.PIPE, text=True, timeout=300,
+                         env=env)
+    assert run.returncode == 0
+    headers = [line.split()[1] for line in run.stdout.splitlines()
+               if line.startswith("suite ")]
+    assert headers == suite_names()
