@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 when everything passes (or a queried property holds), 1 when
-a suite or property check fails, 2 for usage and parse errors.  Set
-BSTAR_CACHE_DIR to persist, in betti.json there, the Betti vectors of the
-complexes read from command files between invocations; the vectors of the
-links a predicate computes are not kept.  The file is rewritten,
-atomically, only when it is missing or lacks a vector of the command's
-complex, and a failed write exits 2.
+a suite or property check fails, 2 for usage and parse errors.  Every
+command computes its answer from the complex it parsed: no file is read
+or written between invocations, and BSTAR_CACHE_DIR is ignored.  A file
+of saved Betti vectors spared a few milliseconds per process, never helped
+``check``, and a well-formed but wrong entry changed what ``homology``
+printed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import homology
@@ -313,27 +312,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cache_dir = os.environ.get("BSTAR_CACHE_DIR")
-    held = {}   # the entries of the cache file
-    read = []   # the facets of the complex the command reads
     try:
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            path = os.path.join(cache_dir, "betti.json")
-            homology.load_betti_cache(path, held)
         if "file" in args:
             args.complex_file = parse(args.file)
-            read.append(args.complex_file.complex.facets)
-        code = args.func(args)
-        # a cache file that failed to load, or a command that raised, is
-        # left as it is; link vectors stay in memory
-        if cache_dir:
-            homology.save_betti_cache(path, read, held)
+        return args.func(args)
     except (ComplexFileError, ComplexError, ColoringError, ConstructionError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -297,7 +297,10 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
     return _restriction_surjective(c, c.vertex_mask(s), tm, field)
 
 
-# -- optional on-disk Betti cache (used by the CLI) -------------------------
+# -- on-disk Betti cache -----------------------------------------------------
+# No command reads or writes this file any more: the CLI computes every
+# vector from the complex it parsed.  Only the benchmark tracer still needs
+# these two functions, which it looks up by name.
 
 def _cache_key_string(facets: tuple, field_label: str) -> str:
     return field_label + "|" + json.dumps(facets)

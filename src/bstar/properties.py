@@ -72,10 +72,13 @@ class Coloring:
                 raise ColoringError(f"vertex {v!r} is uncolored")
             if not isinstance(col, int) or not 1 <= col <= self.d:
                 raise ColoringError(f"vertex {v!r} has color {col!r} outside [{self.d}]")
-        for e in c.faces_of_dim(1):
-            if self.assignment[e[0]] == self.assignment[e[1]]:
-                raise ColoringError(f"edge {list(e)!r} has both ends colored "
-                                    f"{self.assignment[e[0]]}")
+        table = c.face_table()
+        colors = [self.assignment[v] for v in c.vertices]
+        for i, j in table[2] if len(table) > 2 else ():
+            if colors[i] == colors[j]:
+                raise ColoringError(
+                    f"edge {[c.vertices[i], c.vertices[j]]!r} has both ends "
+                    f"colored {colors[i]}")
         if c.is_pure and not c.is_void and c.dim + 1 == self.d:
             for f in c.facets:
                 if len(self.color_set(f)) != len(f):
@@ -181,9 +184,20 @@ def _memoised(prop: str):
 @_memoised("cohen_macaulay")
 def is_cohen_macaulay(c: Complex, field: CoefficientField) -> PropertyReport:
     """Vanishing of reduced link homology below the link dimension, for
-    every face including the empty one."""
+    every face including the empty one.
+
+    A CM complex is answered from its own homology and the memoised
+    verdicts of its vertex links: every non-empty face contains a vertex
+    v, and its link is a link of lk v in the same labels, so the vertex
+    links being CM covers exactly the non-empty faces.  Otherwise the faces
+    are scanned in order, which gives the first violation as witness."""
     if c.is_void:
         raise ValueError("void complex has no Cohen-Macaulay verdict")
+    betti = reduced_betti(c, field)
+    if (not any(betti[i] for i in range(-1, c.dim))
+            and all(is_cohen_macaulay(c.link((v,)), field)
+                    for v in c.vertices)):
+        return _report("cohen_macaulay", field, True)
     for sigma in c.faces_sorted():
         link = c.link(sigma)
         betti = reduced_betti(link, field)

@@ -133,6 +133,24 @@ def oracle_betti(facets, p=None):
     return tuple(values)
 
 
+def oracle_cm_violation(facets, p=None):
+    """The first face sigma, in (dimension, lexicographic) order, whose
+    link has non-zero reduced homology below the link's dimension, with
+    the lowest such degree, as (sigma, degree); None for a Cohen-Macaulay
+    complex.  This is the plain scan: every link is rebuilt from the
+    facets and its homology recomputed with sympy, nothing shared."""
+    faces = downward_closure(facets)
+    for sigma in sorted(faces, key=lambda f: (len(f), [_key(v) for v in f])):
+        link = [[v for v in f if v not in sigma]
+                for f in facets if set(sigma) <= set(f)]
+        betti = oracle_betti(link, p)
+        bad = next((i for i in range(-1, len(betti) - 2) if betti[i + 1]),
+                   None)
+        if bad is not None:
+            return sigma, bad
+    return None
+
+
 def oracle_restriction_surjective(facets, sigma, tau, p=None):
     """Whether H_top(Delta, cost sigma) -> H_top(Delta, cost tau) is onto,
     for a pure complex and faces sigma within tau (sigma empty: absolute

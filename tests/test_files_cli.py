@@ -4,9 +4,10 @@ import os
 import pytest
 
 from bstar import (ComplexFile, ComplexFileError, build, clear_caches,
-                   cross_polytope, emit, emit_text, homology, parse,
-                   parse_text)
+                   cross_polytope, emit, emit_text, homology,
+                   is_buchsbaum_star, is_cohen_macaulay, parse, parse_text)
 from bstar.cli import main, parse_field
+from bstar.homology import load_betti_cache, save_betti_cache
 from bstar.linalg import GF2, GF3, QQ
 
 
@@ -20,6 +21,15 @@ def test_parse_coloring_violation_names_edge():
     with pytest.raises(ComplexFileError) as err:
         parse_text('{"facets": [[1, 2]], "coloring": {"1": 1, "2": 1}}')
     assert "edge [1, 2]" in str(err.value)
+
+
+def test_parse_coloring_violation_names_the_first_bad_edge():
+    # edges [2, 3] and [3, 10] are both monochromatic; [2, 3] comes first
+    # in label order, though its facet is listed last
+    with pytest.raises(ComplexFileError) as err:
+        parse_text('{"facets": [[3, 10], [1, 2], [2, 3]],'
+                   ' "coloring": {"1": 2, "2": 1, "3": 1, "10": 1}}')
+    assert str(err.value).endswith("edge [2, 3] has both ends colored 1")
 
 
 def test_parse_reports_position():
@@ -163,194 +173,176 @@ def test_cli_verify_and_explore(capsys):
     assert data["passed"] is True
 
 
-def test_cli_cache_dir(tmp_path, capsys, monkeypatch):
+_NESTED = '{"facets": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]", _NESTED],
+                         ids=["no-file", "malformed", "nested"])
+def test_cli_ignores_bstar_cache_dir(tmp_path, capsys, monkeypatch, content):
     octa = tmp_path / "octa.json"
     main(["construct", "cross-polytope", "3", "-o", str(octa)])
     cache = tmp_path / "cache"
-    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
-    assert main(["homology", str(octa), "--field", "q"]) == 0
-    assert (cache / "betti.json").exists()
-    saved = json.loads((cache / "betti.json").read_text())
-    assert any(key.startswith("Q|") for key in saved)
+    if content is not None:
+        cache.mkdir()
+        (cache / "betti.json").write_text(content)
     capsys.readouterr()
 
+    def session():
+        outputs = []
+        for command in (["vectors"], ["homology"], ["check", "cm"],
+                        ["check", "buchsbaum-star"]):
+            for field in ("q", "f2"):
+                clear_caches()
+                code = main([*command, str(octa), "--field", field])
+                outputs.append((code, *capsys.readouterr()))
+        return outputs
 
-def test_cli_cache_file_rewritten_only_when_it_lacks_vectors(
-        tmp_path, capsys, monkeypatch):
-    octa = tmp_path / "octa.json"
-    main(["construct", "cross-polytope", "3", "-o", str(octa)])
-    tetra = tmp_path / "tetra.json"
-    main(["construct", "simplex", "3", "-o", str(tetra)])
-    cache = tmp_path / "cache"
+    monkeypatch.delenv("BSTAR_CACHE_DIR", raising=False)
+    unset = session()
+    assert all(code == 0 and out and not err for code, out, err in unset)
     monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
-    saved = cache / "betti.json"
-    argv = ["check", "buchsbaum-star", str(octa), "--field", "q"]
-    assert main(argv) == 0
+    assert session() == unset
+    if content is None:
+        assert not cache.exists()
+    else:
+        assert os.listdir(cache) == ["betti.json"]
+        assert (cache / "betti.json").read_text() == content
+
+
+# No command calls the Betti-cache file functions; the tests below call
+# them as the CLI did: load the file, compute, save the vectors of the
+# command's complex.
+
+def _load_compute_save(path, c, compute):
+    held = {}
+    load_betti_cache(path, held)
+    compute(c, QQ)
+    save_betti_cache(path, [c.facets], held)
+
+
+def test_cli_cache_file_rewritten_only_when_it_lacks_vectors(tmp_path,
+                                                             octahedron):
+    tetra = build([(1, 2, 3, 4)])
+    saved = tmp_path / "betti.json"
+    clear_caches()
+    _load_compute_save(saved, octahedron, is_buchsbaum_star)
     content = saved.read_bytes()
     os.utime(saved, ns=(10**18, 10**18))
     # the same command again, warm and then cold as in a new process
-    assert main(argv) == 0
+    _load_compute_save(saved, octahedron, is_buchsbaum_star)
     clear_caches()
-    assert main(argv) == 0
+    _load_compute_save(saved, octahedron, is_buchsbaum_star)
     assert saved.read_bytes() == content
     assert saved.stat().st_mtime_ns == 10**18
     # a command that computes a new vector rewrites the file
-    assert main(["homology", str(tetra), "--field", "q"]) == 0
+    _load_compute_save(saved, tetra, homology.reduced_betti)
     assert saved.stat().st_mtime_ns != 10**18
     assert set(json.loads(saved.read_bytes())) > set(json.loads(content))
-    assert sorted(os.listdir(cache)) == ["betti.json"]
-    capsys.readouterr()
-
-
-def _facets_of(path):
-    return json.dumps(parse(path).complex.facets)
+    assert sorted(os.listdir(tmp_path)) == ["betti.json"]
 
 
 @pytest.mark.parametrize("prop", ["cm", "buchsbaum-star"])
-def test_cli_cache_file_keeps_only_the_files_complex(tmp_path, capsys,
-                                                     monkeypatch, prop):
-    octa = tmp_path / "octa.json"
-    main(["construct", "cross-polytope", "3", "-o", str(octa)])
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
+def test_cli_cache_file_keeps_only_the_files_complex(tmp_path, octahedron,
+                                                     prop):
+    path = tmp_path / "betti.json"
     clear_caches()
-    assert main(["check", prop, str(octa), "--field", "q"]) == 0
-    saved = json.loads((cache / "betti.json").read_text())
+    _load_compute_save(path, octahedron, {
+        "cm": is_cohen_macaulay, "buchsbaum-star": is_buchsbaum_star}[prop])
+    saved = json.loads(path.read_text())
     # the link vectors the check computed stay in memory only
-    assert all(key.partition("|")[2] == _facets_of(octa) for key in saved)
+    assert all(key.partition("|")[2] == json.dumps(octahedron.facets)
+               for key in saved)
     assert len(saved) == (1 if prop == "cm" else 0)
-    capsys.readouterr()
 
 
-def test_cli_cold_homology_is_answered_from_the_file(tmp_path, capsys,
-                                                     monkeypatch):
-    octa = tmp_path / "octa.json"
-    main(["construct", "cross-polytope", "3", "-o", str(octa)])
-    monkeypatch.setenv("BSTAR_CACHE_DIR", str(tmp_path / "cache"))
-    argv = ["homology", str(octa), "--field", "q", "--json"]
-    capsys.readouterr()
-    assert main(argv) == 0
-    first = capsys.readouterr().out
+def test_cli_cache_rewrite_keeps_other_complexes(tmp_path, monkeypatch,
+                                                 octahedron):
+    # entries for a tetrahedron boundary, for a complex of no file and for
+    # labels with no common order, which no complex has
+    tetra = "[[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]"
+    path = tmp_path / "betti.json"
+    path.write_text('{"Q|%s": [0, 0, 0, 1], "F2|[[7, 8]]": [0, 0, 0],'
+                    ' "Q|[[null, 1]]": [0, 1, 0]}' % tetra)
     clear_caches()
+    _load_compute_save(path, octahedron, homology.reduced_betti)
+    saved = json.loads(path.read_text())
+    assert len(saved) == 4
+    assert saved["Q|" + tetra] == [0, 0, 0, 1]
+    assert saved["F2|[[7, 8]]"] == [0, 0, 0]
+    assert saved["Q|[[null, 1]]"] == [0, 1, 0]
+    assert saved["Q|" + json.dumps(octahedron.facets)] == [0, 0, 0, 1]
 
+    # a loaded vector answers homology without a rank
     def no_ranks(m, field):
         raise AssertionError("recomputed a vector held by the file")
 
-    monkeypatch.setattr(homology, "rank", no_ranks)
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_cli_cache_rewrite_keeps_other_complexes(tmp_path, capsys,
-                                                 monkeypatch):
-    # one entry for a tetrahedron boundary, one for a complex of no file
-    content = ('{"Q|[[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]": [0, 0, 0, 1],'
-               ' "F2|[[7, 8]]": [0, 0, 0]}')
-    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
-                                            content)
-    assert (code, err) == (0, "")
-    saved = json.loads(after)
-    assert len(saved) == 3
-    assert saved["Q|[[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]"] == [0, 0, 0, 1]
-    assert saved["F2|[[7, 8]]"] == [0, 0, 0]
-    assert saved["Q|" + _facets_of(tmp_path / "octa.json")] == [0, 0, 0, 1]
-
-
-def test_cli_cache_file_stays_small(tmp_path, capsys, monkeypatch):
-    files = []
-    for family, params in (("cross-polytope", ["3"]), ("simplex", ["3"]),
-                           ("named", ["rp2_min"])):
-        files.append(tmp_path / f"{family}.json")
-        main(["construct", family, *params, "-o", str(files[-1])])
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
     clear_caches()
-    for path in files:
-        for field in ("q", "f2"):
-            for command in (["vectors"], ["homology"], ["check", "cm"],
-                            ["check", "buchsbaum-star"]):
-                assert main([*command, str(path), "--field", field]) in (0, 1)
-    saved = json.loads((cache / "betti.json").read_text())
-    assert len(saved) <= 6
-    assert {key.partition("|")[2] for key in saved} == {
-        _facets_of(path) for path in files}
-    capsys.readouterr()
+    assert load_betti_cache(path) == 4
+    monkeypatch.setattr(homology, "rank", no_ranks)
+    for facets in (json.loads(tetra), octahedron.facets):
+        assert tuple(homology.reduced_betti(build(facets), QQ)) == (0, 0, 0, 1)
 
 
-def test_cli_failed_cache_write_is_an_error(tmp_path, capsys, monkeypatch):
-    def fail(src, dst):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(os, "replace", fail)
-    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
-                                            "{}")
-    assert code == 2 and after == "{}"
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "No space left on device" in err
-    assert sorted(os.listdir(tmp_path / "cache")) == ["betti.json"]
-
-
-def _run_with_cache_file(tmp_path, capsys, monkeypatch, content):
-    octa = tmp_path / "octa.json"
-    main(["construct", "cross-polytope", "3", "-o", str(octa)])
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "betti.json").write_text(content)
-    monkeypatch.setenv("BSTAR_CACHE_DIR", str(cache))
-    capsys.readouterr()
-    code = main(["homology", str(octa), "--field", "q"])
-    err = capsys.readouterr().err
-    return code, err, (cache / "betti.json").read_text()
+def _load_error(tmp_path, content):
+    """The message of the ValueError raised by loading a cache file with
+    this content, which is left as it was."""
+    path = tmp_path / "betti.json"
+    path.write_text(content)
+    held = {}
+    with pytest.raises(ValueError) as err:
+        load_betti_cache(path, held)
+    assert path.read_text() == content and held == {}
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    return message
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", "3", '"betti"'])
-def test_cli_cache_file_not_an_object(tmp_path, capsys, monkeypatch, content):
-    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
-                                            content)
-    assert code == 2 and after == content
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "not a JSON object" in err
+def test_cli_cache_file_not_an_object(tmp_path, content):
+    assert "not a JSON object" in _load_error(tmp_path, content)
 
 
 @pytest.mark.parametrize("values", [
     "[0, 0, 0]", "[0, 0, 0, 1, 0]", "[0, 0, -1, 1]", "[0, 0, 0, 1.0]",
     "[0, 0, true, 1]", '"0001"', "{}", "null",
 ])
-def test_cli_cache_entry_malformed(tmp_path, capsys, monkeypatch, values):
-    # the octahedron has 3-element facets: its entry lists 4 Betti numbers
-    content = '{"Q|[[1, 2, 3]]": %s}' % values
-    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
-                                            content)
-    assert code == 2 and after == content
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Q|[[1, 2, 3]]" in err and "non-negative ints" in err
+def test_cli_cache_entry_malformed(tmp_path, values):
+    # a 3-element facet: the entry lists 4 Betti numbers
+    message = _load_error(tmp_path, '{"Q|[[1, 2, 3]]": %s}' % values)
+    assert "Q|[[1, 2, 3]]" in message and "non-negative ints" in message
 
 
-def test_cli_cache_entry_with_unparsable_key_is_skipped(tmp_path, capsys,
-                                                        monkeypatch):
+def test_cli_deeply_nested_cache_file_exit_2(tmp_path):
+    assert "nested too deeply" in _load_error(tmp_path, _NESTED)
+
+
+def _rewrite_after_skipped_keys(tmp_path, octahedron, content):
+    """The cache file with this content after a command on the octahedron;
+    loading it must skip every entry."""
+    path = tmp_path / "betti.json"
+    path.write_text(content)
+    held = {}
+    assert load_betti_cache(path, held) == 0 and held == {}
+    homology.reduced_betti(octahedron, QQ)
+    save_betti_cache(path, [octahedron.facets], held)
+    after = path.read_text()
+    assert list(json.loads(after)) == ["Q|" + json.dumps(octahedron.facets)]
+    return after
+
+
+def test_cli_cache_entry_with_unparsable_key_is_skipped(tmp_path, octahedron):
     content = ('{"Q|[[[1], 2]]": [0, 0, 1], "Q|[]": [1], "F4|[[1]]": [0, 0],'
                ' "Q|[[1, 2]": [0]}')
-    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
-                                            content)
-    assert (code, err) == (0, "")
+    after = _rewrite_after_skipped_keys(tmp_path, octahedron, content)
     assert "[[[1], 2]]" not in after
+    # a file that is not JSON at all loads nothing and is replaced
+    _rewrite_after_skipped_keys(tmp_path, octahedron, '{"Q|[[1, 2]]": [0, 0')
 
 
-def test_cli_deeply_nested_cache_file_exit_2(tmp_path, capsys, monkeypatch):
-    content = '{"facets": ' + "[" * 100_000 + "]" * 100_000 + "}"
-    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
-                                            content)
-    assert code == 2 and after == content
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "nested too deeply" in err
-
-
-def test_cli_cache_entry_with_deeply_nested_key_is_skipped(tmp_path, capsys,
-                                                           monkeypatch):
+def test_cli_cache_entry_with_deeply_nested_key_is_skipped(tmp_path,
+                                                           octahedron):
     content = json.dumps({"Q|" + "[" * 100_000 + "]" * 100_000: [1]})
-    code, err, after = _run_with_cache_file(tmp_path, capsys, monkeypatch,
-                                            content)
-    assert (code, err) == (0, "")
+    after = _rewrite_after_skipped_keys(tmp_path, octahedron, content)
     assert "[[[" not in after
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
@@ -10,6 +10,7 @@ from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    named, rank_selected,
                    revalidate_witness, simplex, simplex_boundary,
                    stacked_cross_polytopal_sphere)
+from oracles import oracle_cm_violation
 
 
 def test_cm_spheres_and_paths():
@@ -371,6 +372,31 @@ def test_relabelled_reports_match_cold_reports(c, data):
                 if not rep.verdict:
                     assert _witness_faces_are_faces(x, rep.witness), (x, rep)
                     assert revalidate_witness(x, rep, field), (x, rep)
+
+
+_tetrahedra = st.lists(st.sets(st.integers(0, 5), min_size=4, max_size=4),
+                       min_size=1, max_size=5).map(build)
+
+
+@settings(max_examples=80)
+@given(st.one_of(small_mixed_complexes, _tetrahedra))
+@example(build([()]))
+@example(build([(1, 2, 3), (3, 4, 5)]))             # a bowtie: not CM
+@example(build([(1, 2, 3), (3, 4), (4, 5, 6)]))     # impure, so not CM
+@example(build([(1, 2, 3, 4), (1, 2, 5, 6)]))       # fails at edge (1, 2)
+@example(named("rp2_min"))                          # CM over Q and F3 only
+@example(build([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (1, 2, 3, 4),
+                (0, 2, 3, 5)]))
+def test_cm_verdict_and_witness_match_the_plain_scan(c):
+    # is_cohen_macaulay answers CM complexes from memoised vertex links;
+    # its verdict and first-violation witness must be the plain scan's
+    from bstar import GF3, Witness
+    for field in (QQ, GF2, GF3):
+        violation = oracle_cm_violation(c.facets, field.p)
+        rep = is_cohen_macaulay(c, field)
+        assert rep.verdict == (violation is None), (c, field)
+        assert rep.witness == (violation and Witness("link_homology",
+                                                     violation)), (c, field)
 
 
 def test_relabelled_cross_polytope_stores_no_new_cm_entry():
