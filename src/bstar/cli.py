@@ -201,8 +201,8 @@ def _cmd_rank_select(args) -> int:
     except ColoringError as exc:
         print(f"rank-select: {exc}", file=sys.stderr)
         return 2
-    kept = {v: c for v, c in coloring.assignment.items()
-            if v in set(sub.vertices)}
+    present = set(sub.vertices)
+    kept = {v: c for v, c in coloring.assignment.items() if v in present}
     sub_coloring = Coloring(kept, coloring.d) if kept else None
     _write_complex(ComplexFile(sub, sub_coloring,
                                name=f"rank-selected S={sorted(colors)}"),

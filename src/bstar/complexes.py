@@ -27,10 +27,50 @@ The void complex (no faces at all) is distinct from the empty complex
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-Label = Union[int, str]
+Label = int | str
 Face = tuple  # sorted duplicate-free tuple of labels
+
+
+class Record:
+    """Immutable record whose fields, taken by position or by name, are the
+    names in ``__slots__``.  Equality, hash, the repr ``Name(field=value,
+    ...)`` and pickling go by them in order; pickling needs ``__reduce__``,
+    as the default sets slots through the raising ``__setattr__``.  Records
+    built for every face define a faster ``__init__``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if len(values) > len(names) or named.keys() != set(names[len(values):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, values), *named.items()):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ComplexError(Exception):

@@ -9,10 +9,9 @@ reduced Betti numbers and therefore carry a field tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .complexes import Complex, NotPureError
+from .complexes import Complex, NotPureError, Record
 from .homology import reduced_betti
 from .linalg import CoefficientField, InvariantError
 
@@ -94,17 +93,11 @@ def poly_geq(a, b) -> bool:
     return all(x >= y for x, y in zip(pa, pb))
 
 
-@dataclass(frozen=True)
-class FaceVectors:
+class FaceVectors(Record):
     """All face-counting invariants of one complex over one field."""
 
-    f: tuple
-    h: tuple
-    h_prime: tuple | None
-    short_h: tuple | None
-    chi_reduced: int
-    is_pure: bool
-    field: CoefficientField
+    __slots__ = ("f", "h", "h_prime", "short_h", "chi_reduced", "is_pure",
+                 "field")
 
     @classmethod
     def compute(cls, c: Complex, field: CoefficientField) -> "FaceVectors":

@@ -12,9 +12,8 @@ color-matching identification); f-vectors are independent of that choice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .complexes import Complex, LabelCollisionError, as_face, build
+from .complexes import Complex, LabelCollisionError, Record, as_face, build
 from .properties import Coloring
 
 
@@ -157,14 +156,11 @@ def skeleton_join_sphere(m: int, i: int, d: int) -> Complex:
     return out
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     """Curated test complex with frozen expected Betti numbers."""
 
-    name: str
-    complex: Complex
-    coloring: Coloring | None
-    expected_betti: dict  # field label -> tuple of values for degrees -1..d-1
+    # expected_betti: field label -> tuple of values for degrees -1..d-1
+    __slots__ = ("name", "complex", "coloring", "expected_betti")
 
 
 def _hexagon_suspension():

@@ -10,9 +10,8 @@ indentation, so parse(emit(parse(f))) is the identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .complexes import Complex, MalformedFaceError, build
+from .complexes import Complex, MalformedFaceError, Record, build
 from .properties import Coloring, ColoringError
 
 
@@ -20,12 +19,14 @@ class ComplexFileError(Exception):
     """Malformed complex file; carries position info when available."""
 
 
-@dataclass
-class ComplexFile:
-    complex: Complex
-    coloring: Coloring | None = None
-    name: str | None = None
-    metadata: dict = field(default_factory=dict)
+class ComplexFile(Record):
+    __slots__ = ("complex", "coloring", "name", "metadata")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # mutable
+    __hash__ = None
+
+    def __init__(self, complex: Complex, coloring: Coloring | None = None,
+                 name: str | None = None, metadata: dict | None = None):
+        super().__init__(complex, coloring, name, {} if metadata is None else metadata)
 
 
 def _check_label(raw, where: str):

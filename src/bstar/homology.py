@@ -55,11 +55,10 @@ import json
 import os
 import threading
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import islice
 from math import lcm
 
-from .complexes import Complex, NotPureError, index_faces
+from .complexes import Complex, NotPureError, Record, index_faces
 from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
                      rank)
 
@@ -87,12 +86,14 @@ def _store(key, value):
         return _cache.setdefault(key, value)
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(Record):
     """Reduced Betti numbers for degrees -1 .. d-1 over a fixed field."""
 
-    values: tuple
-    field: CoefficientField
+    __slots__ = ("values", "field")
+
+    def __init__(self, values: tuple, field: CoefficientField):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "field", field)
 
     def __getitem__(self, degree: int) -> int:
         idx = degree + 1

@@ -22,10 +22,9 @@ its rank is 1 exactly when some entry is non-zero in the field.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 
 class ShapeError(ValueError):
@@ -65,6 +64,9 @@ class CoefficientField:
             inst.p = p
             cls._instances[key] = inst
         return inst
+
+    def __reduce__(self):
+        return CoefficientField, (self.kind, self.p)
 
     @classmethod
     def rationals(cls) -> "CoefficientField":

@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
 
-from .complexes import Complex, NotPureError, build, label_key
+from .complexes import Complex, NotPureError, Record, build, label_key
 from .homology import _cached, _store, reduced_betti, top_restriction_surjective
 from .linalg import CoefficientField, InvariantError
 
@@ -53,12 +51,10 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """A vertex-to-color map witnessing balancedness (colors 1..d)."""
 
-    assignment: Mapping
-    d: int
+    __slots__ = ("assignment", "d")
 
     def color_set(self, face) -> frozenset:
         return frozenset(self.assignment[v] for v in face)
@@ -89,24 +85,29 @@ class Coloring:
                 for v in sorted(self.assignment, key=label_key)}
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Certificate of a property violation; `kind` selects how the payload
     in `data` re-validates."""
 
-    kind: str
-    data: tuple
+    __slots__ = ("kind", "data")
+
+    def __init__(self, kind: str, data: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "data", data)
 
     def __repr__(self):
         return f"Witness({self.kind}, {self.data!r})"
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    prop: str
-    field: str | None
-    verdict: bool
-    witness: Witness | None = None
+class PropertyReport(Record):
+    __slots__ = ("prop", "field", "verdict", "witness")
+
+    def __init__(self, prop: str, field: str | None, verdict: bool,
+                 witness: Witness | None = None):
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.verdict

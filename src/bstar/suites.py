@@ -26,10 +26,9 @@ import signal
 import threading
 import time
 from contextlib import suppress
-from dataclasses import asdict, dataclass
 from math import comb
 
-from .complexes import Complex, build
+from .complexes import Complex, Record, build
 from .facevectors import (f_vector, h_prime_vector, h_vector, poly_geq,
                           reduced_euler_characteristic, short_simplicial_h)
 from .families import (cross_polytope, fixture, fixture_names,
@@ -52,33 +51,27 @@ class InfeasibleParameterError(ValueError):
     """Random-complex parameters are out of range."""
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    case_id: str
-    prop: str
-    field: str
-    expected: str
-    got: str
-    witness: str | None
-    passed: bool
+class CaseRecord(Record):
+    __slots__ = ("case_id", "prop", "field", "expected", "got", "witness",
+                 "passed")
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    version: str
-    fields: tuple
-    seed: int
-    max_n: int | None
-    passed: bool
-    duration_s: float
-    cases: list
-    notes: tuple = ()
-    incomplete: bool = False
+class SuiteReport(Record):
+    __slots__ = ("suite", "version", "fields", "seed", "max_n", "passed",
+                 "duration_s", "cases", "notes", "incomplete")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # mutable
+    __hash__ = None
+
+    def __init__(self, suite: str, version: str, fields: tuple, seed: int,
+                 max_n: int | None, passed: bool, duration_s: float,
+                 cases: list, notes: tuple = (), incomplete: bool = False):
+        super().__init__(suite, version, fields, seed, max_n, passed,
+                         duration_s, cases, notes, incomplete)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["cases"] = [asdict(c) for c in self.cases]
+        """The fields in order, each case as a dict of its fields."""
+        out = dict(zip(self.__slots__, self._values()))
+        out["cases"] = [dict(zip(c.__slots__, c._values())) for c in self.cases]
         return out
 
     def render_text(self) -> str:
@@ -143,8 +136,9 @@ def random_balanced_complex(seed: int, max_vertices: int = 8):
     pool = list(itertools.product(*classes))
     count = rng.randint(1, min(len(pool), 10))
     cx = build(rng.sample(pool, count))
+    present = set(cx.vertices)
     assignment = {v: c for c, cls in enumerate(classes, start=1)
-                  for v in cls if v in set(cx.vertices)}
+                  for v in cls if v in present}
     coloring = Coloring(assignment, d)
     coloring.validate(cx)
     return cx, coloring
@@ -163,11 +157,8 @@ def _random_pure_corpus(seed: int, count: int, n_max: int):
 
 # -- corpus -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    cid: str
-    complex: Complex
-    coloring: Coloring | None
+class CorpusEntry(Record):
+    __slots__ = ("cid", "complex", "coloring")
 
 
 _corpus_cache: list = []

@@ -3,6 +3,9 @@ from hypothesis import HealthCheck, settings
 
 from bstar import build, cross_polytope, named
 
+# oracles.check_frozen_record asserts, and must also check under python -O
+pytest.register_assert_rewrite("oracles")
+
 settings.register_profile(
     "default", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

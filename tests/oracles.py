@@ -9,12 +9,15 @@ genuine dual-route check.
 
 The matrix helpers at the end (identity, transpose, augment, span_dim,
 span_contains) are conveniences for the linalg tests, not oracles: they
-build on bstar's Matrix and rank.
+build on bstar's Matrix and rank.  So is ``check_frozen_record``, which the
+record tests share.
 """
 
 import itertools
+import pickle
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
@@ -300,3 +303,23 @@ def span_contains(vectors, v, field):
         raise ShapeError(
             f"vector of length {len(col)} vs {vectors.nrows} rows")
     return rank(vectors, field) == rank(augment(vectors, col), field)
+
+
+def check_frozen_record(record, twin, hashable=True):
+    """record equals its separately built twin (with an equal hash when
+    hashable, else hash raises TypeError), survives a pickle round trip,
+    and refuses assignment and deletion of a field."""
+    assert record == twin and not record != twin and record is not twin
+    if hashable:
+        assert hash(record) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is type(record)
+    name = record.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert getattr(record, name) == getattr(twin, name)

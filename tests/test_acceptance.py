@@ -127,3 +127,18 @@ def test_scale_skeleton_join_sphere_on_a_20_simplex(tmp_path):
                                 "2", "2", "-o", str(out)]))
     cx = parse_text(out.read_text()).complex
     assert code == 0 and len(cx.facets) == 210 and cx.n_vertices == 21
+
+
+def test_scale_rank_select_long_path(tmp_path):
+    # every vertex of an alternately coloured 20,000-edge path survives
+    # selecting both colours; keeping their colours is one set lookup each
+    n = 20000
+    src, out = tmp_path / "path.json", tmp_path / "selected.json"
+    src.write_text(json.dumps({
+        "facets": [[i, i + 1] for i in range(n)],
+        "coloring": {str(i): i % 2 + 1 for i in range(n + 1)}}))
+    code = _timed("scale: rank-select both colours of a 20,000-edge path",
+                  2.0, lambda: main(["rank-select", str(src), "--colors", "1,2",
+                                     "-o", str(out)]))
+    doc = json.loads(out.read_text())
+    assert code == 0 and len(doc["facets"]) == n and len(doc["coloring"]) == n + 1

@@ -10,7 +10,7 @@ from bstar import (GF2, QQ, FaceVectors, InvariantError, NotPureError, build,
                    simplex, simplex_boundary, stacked_cross_polytopal_sphere)
 from bstar import facevectors
 
-from oracles import oracle_h_vector
+from oracles import check_frozen_record, oracle_h_vector
 
 
 def test_f_vector_examples(octahedron):
@@ -133,3 +133,13 @@ def test_face_vectors_nonpure_flagged():
     assert not fv.is_pure
     assert fv.h_prime is None and fv.short_h is None
     assert fv.h == h_from_f(fv.f)
+
+
+def test_face_vectors_are_a_frozen_record(octahedron):
+    fv = FaceVectors.compute(octahedron, QQ)
+    check_frozen_record(fv, FaceVectors.compute(build(octahedron.facets), QQ))
+    assert fv != FaceVectors.compute(octahedron, GF2)
+    assert repr(fv) == (
+        "FaceVectors(f=(1, 6, 12, 8), h=(1, 3, 3, 1), h_prime=(1, 3, 3, 1), "
+        "short_h=(6, 12, 6), chi_reduced=1, is_pure=True, "
+        "field=CoefficientField(Q))")

@@ -1,14 +1,14 @@
 import pytest
 
 from bstar import (GF2, QQ, ConstructionError, LabelCollisionError,
-                   UnknownFixtureError, connected_sum, cross_polytope,
+                   UnknownFixtureError, build, connected_sum, cross_polytope,
                    f_vector, fixture, fixture_names, h_vector, is_buchsbaum,
                    is_buchsbaum_star, multi_point_join,
                    multi_point_join_colored, named, prefix_relabel,
                    reduced_betti, simplex, simplex_boundary,
                    skeleton_join_sphere, stacked_cross_polytopal_sphere)
 
-from oracles import oracle_betti
+from oracles import check_frozen_record, oracle_betti
 
 
 def test_simplex_and_boundary():
@@ -171,3 +171,14 @@ def test_fixture_betti_frozen_values_via_oracle():
         assert oracle_betti(fx.complex.facets, 2) == fx.expected_betti["F2"]
         if fx.coloring is not None:
             fx.coloring.validate(fx.complex)
+
+
+def test_fixture_is_a_frozen_record():
+    # expected_betti is a dict, so a fixture is unhashable
+    fx = fixture("path2")
+    check_frozen_record(fx, type(fx)(fx.name, build([(1, 2), (2, 3)]), None,
+                                     {"Q": (0, 0, 0), "F2": (0, 0, 0)}),
+                        hashable=False)
+    assert repr(fx) == ("Fixture(name='path2', complex=Complex([[1, 2], "
+                        "[2, 3]]), coloring=None, expected_betti={'Q': (0, 0, 0), "
+                        "'F2': (0, 0, 0)})")

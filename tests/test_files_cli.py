@@ -398,3 +398,27 @@ def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):
         outputs.append((code, report, err))
     assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
     assert outputs[1][1]["fields"] == ["Q"]
+
+
+def test_complex_file_is_a_mutable_record():
+    a, b = ComplexFile(build([(1, 2)])), ComplexFile(build([(1, 2)]))
+    assert a == b and a.metadata == {} and a.metadata is not b.metadata
+    a.metadata["note"] = "one"
+    assert b.metadata == {} and a != b
+    assert repr(b) == ("ComplexFile(complex=Complex([[1, 2]]), coloring=None, "
+                       "name=None, metadata={})")
+    b.name = "edge"
+    assert b.name == "edge"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_cli_check_json_line_on_rp2_over_q(tmp_path, capsys):
+    # the witness data is the repr of its faces
+    rp2 = tmp_path / "rp2.json"
+    main(["construct", "named", "rp2_min", "-o", str(rp2)])
+    capsys.readouterr()
+    assert main(["check", "buchsbaum-star", str(rp2), "--field", "q", "--json"]) == 1
+    assert capsys.readouterr().out == (
+        '{"property": "buchsbaum_star", "field": "Q", "verdict": false, '
+        '"witness": {"kind": "surjectivity", "data": "((1,),)"}}\n')

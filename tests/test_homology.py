@@ -14,7 +14,8 @@ from bstar import homology
 from bstar.homology import load_betti_cache, save_betti_cache
 from bstar.linalg import product_is_zero
 
-from oracles import dense_rows, oracle_betti, oracle_restriction_surjective
+from oracles import (check_frozen_record, dense_rows, oracle_betti,
+                     oracle_restriction_surjective)
 
 facet_lists = st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
                        min_size=1, max_size=8)
@@ -111,6 +112,15 @@ def test_betti_vector_indexing():
     assert bv[99] == 0 and bv[-5] == 0
     assert bv.top_degree == 1
     assert bv.chi_reduced() == 0 + 1 - 2
+
+
+def test_betti_vector_is_a_frozen_record():
+    bv = BettiVector((0, 1, 2), QQ)
+    check_frozen_record(bv, BettiVector((0, 1, 2), QQ))
+    assert bv != BettiVector((0, 1, 2), GF2) and bv != (0, 1, 2)
+    assert repr(bv) == "BettiVector((0, 1, 2), Q)"
+    rp2 = fixture("rp2_min").complex
+    assert repr(reduced_betti(rp2, GF2)) == "BettiVector((0, 0, 1, 1), F2)"
 
 
 def test_relative_betti_examples(octahedron, triangle_boundary):

@@ -10,7 +10,7 @@ from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    named, rank_selected,
                    revalidate_witness, simplex, simplex_boundary,
                    stacked_cross_polytopal_sphere)
-from oracles import oracle_cm_violation
+from oracles import check_frozen_record, oracle_cm_violation
 
 
 def test_cm_spheres_and_paths():
@@ -480,3 +480,28 @@ def test_report_memo_refuses_unknown_witness_kinds():
         _map_witness(Witness("no_such_kind", ((1,),)), str)
     with pytest.raises(InvariantError):
         _map_witness(Witness("surjectivity", ((1,), 2)), str)
+
+
+def test_witness_and_report_are_frozen_records():
+    from bstar import PropertyReport, Witness
+    w = Witness("surjectivity", ((1,),))
+    check_frozen_record(w, Witness("surjectivity", ((1,),)))
+    assert repr(w) == "Witness(surjectivity, ((1,),))"
+    rep = is_buchsbaum_star(named("rp2_min"), QQ)
+    check_frozen_record(rep, PropertyReport("buchsbaum_star", "Q", False, w))
+    assert repr(rep) == ("PropertyReport(prop='buchsbaum_star', field='Q', "
+                         "verdict=False, witness=Witness(surjectivity, ((1,),)))")
+    assert rep != PropertyReport("buchsbaum_star", "F2", False, w)
+    assert PropertyReport("cm", "Q", True).witness is None
+
+
+def test_coloring_is_frozen_but_unhashable():
+    col = Coloring({1: 1, 2: 2}, 2)
+    check_frozen_record(col, Coloring(assignment={1: 1, 2: 2}, d=2),
+                        hashable=False)
+    assert col != Coloring({1: 1, 2: 2}, 3)
+    assert repr(col) == "Coloring(assignment={1: 1, 2: 2}, d=2)"
+    with pytest.raises(TypeError):
+        Coloring({1: 1})
+    with pytest.raises(TypeError):
+        Coloring({1: 1}, 1, d=1)

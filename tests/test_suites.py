@@ -8,11 +8,14 @@ import threading
 import pytest
 
 import bstar
+import bstar.cli
 from bstar import (GF2, InfeasibleParameterError, InvariantError,
                    UnknownSuiteError, __version__, clear_caches, corpus,
                    explore_question, random_balanced_complex,
                    random_pure_complex, run_suite, suite_names)
 from bstar import suites
+
+from oracles import check_frozen_record
 
 
 def test_unknown_suite():
@@ -252,3 +255,40 @@ def test_verify_all_prints_each_report_once():
     headers = [line.split()[1] for line in run.stdout.splitlines()
                if line.startswith("suite ")]
     assert headers == suite_names()
+
+
+REPORT_KEYS = ["suite", "version", "fields", "seed", "max_n", "passed",
+               "duration_s", "cases", "notes", "incomplete"]
+CASE_KEYS = ["case_id", "prop", "field", "expected", "got", "witness", "passed"]
+
+
+def test_report_dicts_keep_their_key_order(capsys):
+    # the digests above sort their keys; verify --json does not
+    d = run_suite("orientability-rp2").to_dict()
+    assert list(d) == REPORT_KEYS
+    assert d["cases"] and all(list(c) == CASE_KEYS for c in d["cases"])
+    assert bstar.cli.main(["verify", "orientability-rp2", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert list(printed) == REPORT_KEYS
+    assert all(list(c) == CASE_KEYS for c in printed["cases"])
+
+
+def test_case_and_corpus_records_are_frozen():
+    case = run_suite("orientability-rp2").cases[0]
+    twin = suites.CaseRecord(*(getattr(case, k) for k in CASE_KEYS))
+    check_frozen_record(case, twin)
+    assert repr(case).startswith(f"CaseRecord(case_id={case.case_id!r}, prop=")
+    entry = suites._entry("bowtie2d")
+    check_frozen_record(entry, suites.CorpusEntry("bowtie2d", entry.complex, None))
+    assert repr(entry) == ("CorpusEntry(cid='bowtie2d', complex=Complex([[1, 2, 3], "
+                           "[3, 4, 5]]), coloring=None)")
+
+
+def test_suite_report_is_a_mutable_record():
+    rep = run_suite("orientability-rp2")
+    twin = suites.SuiteReport(**{k: getattr(rep, k) for k in REPORT_KEYS})
+    assert rep == twin and rep.notes == () and not rep.incomplete
+    twin.duration_s = -1.0
+    assert rep != twin
+    with pytest.raises(TypeError):
+        hash(rep)
