@@ -11,6 +11,7 @@ color-matching identification); f-vectors are independent of that choice.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .complexes import Complex, LabelCollisionError, Record, as_face, build
@@ -107,11 +108,25 @@ def connected_sum(c1: Complex, f1, c2: Complex, f2, phi: dict,
     return build(gens)
 
 
+class _Last(tuple):
+    """A facet ordered backwards, so that heapq pops the last facet."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return tuple.__gt__(self, other)
+
+
 def stacked_cross_polytopal_sphere(n: int, d: int):
     """Balanced (d-1)-sphere on n vertices: the connected sum of n/d - 1
     copies of the cross-polytope boundary, identifying vertices of equal
     colors.  Each new copy is glued along the lexicographically last facet
-    of the running sum."""
+    of the running sum, and the sum is built once, at the end.
+
+    Copy t has the vertices s{t}x{c} and s{t}y{c} of color c.  Gluing it
+    along a facet F identifies s{t}x{c} with the vertex of F of color c,
+    and drops F and the copy's facet of x vertices: its other facets pick,
+    for each color, the vertex of F or s{t}y{c}, not F itself."""
     if d < 2:
         raise ConstructionError("stacked cross-polytopal spheres need d >= 2")
     if n % d != 0:
@@ -119,22 +134,20 @@ def stacked_cross_polytopal_sphere(n: int, d: int):
     if n < 2 * d:
         raise ConstructionError(f"need n >= 2d, got n = {n}, d = {d}")
     copies = n // d - 1
-    base, base_coloring = cross_polytope(d)
-    running = prefix_relabel(base, "s1")
-    colors = {f"s1{v}": col for v, col in base_coloring.assignment.items()}
+    colors = {f"s1{v}{c}": c for c in range(1, d + 1) for v in "xy"}
+    facets = [_Last(as_face(f)) for f in itertools.product(
+        *([f"s1x{c}", f"s1y{c}"] for c in range(1, d + 1)))]
+    heapq.heapify(facets)
     for t in range(2, copies + 1):
-        glue = running.facets[-1]
-        new = prefix_relabel(base, f"s{t}")
-        new_colors = {f"s{t}{v}": col
-                      for v, col in base_coloring.assignment.items()}
-        new_facet = as_face(f"s{t}x{c}" for c in range(1, d + 1))
-        by_color = {colors[v]: v for v in glue}
-        phi = {by_color[c]: f"s{t}x{c}" for c in range(1, d + 1)}
-        running = connected_sum(running, glue, new, new_facet, phi,
-                                Coloring(colors, d), Coloring(new_colors, d))
-        removed = set(new_facet)
-        colors.update({v: col for v, col in new_colors.items()
-                       if v not in removed})
+        glue = heapq.heappop(facets)
+        by_color = sorted(glue, key=colors.__getitem__)
+        ys = [f"s{t}y{c}" for c in range(1, d + 1)]
+        colors.update(zip(ys, range(1, d + 1)))
+        choices = itertools.product(*zip(by_color, ys))
+        next(choices)  # the glue facet itself
+        for f in choices:
+            heapq.heappush(facets, _Last(as_face(f)))
+    running = build(facets)
     coloring = Coloring({v: colors[v] for v in running.vertices}, d)
     coloring.validate(running)
     return running, coloring

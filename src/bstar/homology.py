@@ -47,6 +47,16 @@ Under one lock, insertion keeps the first value stored for a key, so
 concurrent identical queries get one object, and a full cache
 (CACHE_LIMIT entries) drops its oldest quarter, which costs only
 recomputation.
+
+The cache records which entries depended on the field.  Ranks move a
+per-thread counter (:func:`bstar.linalg._field_dependence`) whenever
+their result could differ between fields.  An entry whose computation
+moved the counter is stored marked, and reading it moves the reader's
+counter again, so a computation that finds the counter unmoved, cache
+hits included, holds over every field.  The mark lives in the entry: it
+goes when the entry is evicted or the cache is cleared.  Betti vectors
+loaded from a file are marked, since nothing shows they hold for another
+field.
 """
 
 from __future__ import annotations
@@ -59,8 +69,8 @@ from itertools import islice
 from math import lcm
 
 from .complexes import Complex, NotPureError, Record, index_faces
-from .linalg import (CoefficientField, InvariantError, Matrix, kernel_basis,
-                     rank)
+from .linalg import (CoefficientField, InvariantError, Matrix,
+                     _depends_on_field, _field_dependence, kernel_basis, rank)
 
 CACHE_LIMIT = 1 << 16
 _cache: dict = {}
@@ -72,18 +82,38 @@ def clear_caches() -> None:
         _cache.clear()
 
 
+class _FieldDependent:
+    """A cache value whose computation moved the field-dependence counter."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
 def _cached(key):
-    return _cache.get(key)
+    """The value cached for key, or None.  Reading a value whose
+    computation depended on the field moves this thread's counter."""
+    value = _cache.get(key)
+    if type(value) is _FieldDependent:
+        _depends_on_field()
+        return value.value
+    return value
 
 
-def _store(key, value):
+def _store(key, value, dependent: bool = False):
     """Insert unless the key is present, first dropping the oldest quarter
-    of a full cache; return the value kept for the key."""
+    of a full cache; return the value kept for the key.  A dependent value
+    (its computation moved the field-dependence counter) is marked, and
+    the mark leaves the cache with the entry."""
+    if dependent:
+        value = _FieldDependent(value)
     with _cache_lock:
         if len(_cache) >= CACHE_LIMIT:
             for old in list(islice(_cache, len(_cache) - CACHE_LIMIT * 3 // 4)):
                 del _cache[old]
-        return _cache.setdefault(key, value)
+        kept = _cache.setdefault(key, value)
+    return kept.value if type(kept) is _FieldDependent else kept
 
 
 class BettiVector(Record):
@@ -153,16 +183,17 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
     if c.is_void:
         raise ValueError("Betti numbers of the void complex are undefined")
     key = ("betti", c.index_form, field.label)
-    cached = _cache.get(key)
+    cached = _cached(key)
     if cached is not None:
         return cached
+    before = _field_dependence()
     counts, ranks = _relative_data(c, 0, field)
     bv = BettiVector(_betti_values(counts, ranks, c.dim), field)
     chi_f = sum(-n if degree % 2 else n for degree, n in counts.items())
     if bv.chi_reduced() != chi_f:
         raise InvariantError(f"Euler characteristic mismatch: "
                              f"{bv.chi_reduced()} != {chi_f}")
-    return _store(key, bv)
+    return _store(key, bv, _field_dependence() != before)
 
 
 def _superset_indices(c: Complex, t: int) -> dict:
@@ -181,18 +212,21 @@ def _relative_data(c: Complex, t: int, field: CoefficientField):
     """Face counts and boundary ranks of the quotient complex for
     (Delta, cost(tau)), tau given by its vertex bitmask t: counts[j] and
     rank of the induced boundary leaving degree j, for |tau|-1 <= j <= dim.
-    Not cached: its callers rarely ask for one (complex, tau, field) twice."""
+    Not cached: its callers rarely ask for one (complex, tau, field) twice.
+    Each rank is of whole rows of a boundary matrix: a face containing tau
+    has all its cofaces, the non-zeros of its row, among the faces
+    containing tau, so restricting the columns too would not change it."""
     boundaries, _ = _chain_data(c)
     sel = _superset_indices(c, t)
     counts = {deg: len(idx) for deg, idx in sel.items()}
     ranks = {}
-    for deg, idx in sel.items():
+    for deg in sel:
         rows = sel.get(deg - 1)
         if not rows:
             ranks[deg] = 0
             continue
-        sub = boundaries[deg].submatrix(rows, idx) if t else boundaries[deg]
-        ranks[deg] = rank(sub, field)
+        ranks[deg] = rank(boundaries[deg].take_rows(rows) if t
+                          else boundaries[deg], field)
     return counts, ranks
 
 
@@ -211,14 +245,15 @@ def _betti_values(counts: dict, ranks: dict, top: int) -> tuple:
     return tuple(values)
 
 
-def _top_boundary(c: Complex, t: int) -> tuple:
-    """The basis indices of the facets containing the face with vertex
-    bitmask t, and the top boundary of the quotient complex at t: its rows
-    are the ridges containing t, its columns those facets."""
+def _top_star(c: Complex, t: int) -> tuple:
+    """The top boundary matrix of c, and the basis indices of the ridges
+    (its rows) and of the facets (its columns) containing the face with
+    vertex bitmask t: the top boundary of the quotient complex at t is
+    that submatrix."""
     boundaries, masks = _chain_data(c)
-    cols = [i for i, m in enumerate(masks[-1]) if m & t == t]
     rows = [i for i, m in enumerate(masks[-2]) if m & t == t]
-    return cols, boundaries[-1].submatrix(rows, cols)
+    cols = [i for i, m in enumerate(masks[-1]) if m & t == t]
+    return boundaries[-1], rows, cols
 
 
 def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
@@ -227,32 +262,36 @@ def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
     rows keyed by facet basis index.  Each column is the RREF kernel
     vector times the lcm of its denominators, so every entry is an int."""
     key = ("rel_kernel", c.index_form, s, field.label)
-    cached = _cache.get(key)
+    cached = _cached(key)
     if cached is not None:
         return cached
-    cols, sub = _top_boundary(c, s)
-    k = kernel_basis(sub, field)
+    before = _field_dependence()
+    top, ridges, cols = _top_star(c, s)
+    k = kernel_basis(top.submatrix(ridges, cols), field)
     den = [1] * k.ncols
     for row in k.rows.values():
         for j, v in row.items():
             den[j] = lcm(den[j], v.denominator)
     rows = {cols[i]: {j: v.numerator * (den[j] // v.denominator)
                       for j, v in row.items()} for i, row in k.rows.items()}
-    n_facets = _chain_data(c)[0][-1].ncols
-    return _store(key, Matrix._of_rows(n_facets, k.ncols, rows))
+    return _store(key, Matrix._of_rows(top.ncols, k.ncols, rows),
+                  _field_dependence() != before)
 
 
 def _target_nullity(c: Complex, t: int, field: CoefficientField) -> tuple:
     """The basis indices of the facets containing the face with vertex
     bitmask t, and the dimension of the relative top cycle space there:
     the number of those facets minus the rank of the quotient complex's
-    top boundary."""
+    top boundary.  That rank is of whole rows of the top boundary: a ridge
+    containing tau has all its cofaces among the facets containing tau."""
     key = ("nullity", c.index_form, t, field.label)
-    cached = _cache.get(key)
+    cached = _cached(key)
     if cached is not None:
         return cached
-    cols, sub = _top_boundary(c, t)
-    return _store(key, (cols, len(cols) - rank(sub, field)))
+    before = _field_dependence()
+    top, ridges, cols = _top_star(c, t)
+    z_dim = len(cols) - rank(top.take_rows(ridges), field)
+    return _store(key, (cols, z_dim), _field_dependence() != before)
 
 
 def _restriction_surjective(c: Complex, s: int, t: int,
@@ -331,6 +370,8 @@ def save_betti_cache(path, complexes=None, held=None) -> None:
     for key, bv in list(_cache.items()):
         if key[0] != "betti":
             continue
+        if type(bv) is _FieldDependent:
+            bv = bv.value
         for facets in (wanted.get(key[1], ()) if complexes is not None
                        else (key[1],)):
             entries[facets, key[2]] = bv
@@ -393,7 +434,8 @@ def load_betti_cache(path, held=None) -> int:
         except TypeError:  # labels with no common order: no complex has them
             loaded[facets, label] = bv
         else:
-            loaded[facets, label] = _store(("betti", index, label), bv)
+            # a vector from a file: nothing shows it holds for other fields
+            loaded[facets, label] = _store(("betti", index, label), bv, True)
     if held is not None:
         held.update(loaded)
     return len(loaded)

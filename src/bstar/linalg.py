@@ -8,20 +8,33 @@ take_rows shares them and integer rows reach the elimination uncopied;
 the elimination never mutates them.
 
 One sparse elimination routine serves rank, rref and kernel_basis.  It
-works on rows stored as {column: int}.  Over Q each row is scaled to
-integers and reduced fraction-free (row = b*row - a*pivot), and every new
-row is divided by the gcd of its entries, which keeps the integers small
-(Dumas, Saunders and Villard, JSC 2001).  Over F_p the entries are ints
-mod p and each pivot row is scaled to a leading 1.  rank stops after
-forward elimination; rref and kernel_basis also back-substitute, and only
-their output turns into Fractions.  The reduced row echelon form is
-unique, so results do not depend on the order rows are eliminated in.
-rank skips elimination on a matrix with at most one row or one column:
-its rank is 1 exactly when some entry is non-zero in the field.
+works on rows stored as {column: int}.  It first eliminates over the
+integers, pivoting only on entries 1 and -1.  Those row operations are
+unimodular and leave unit pivots, so when every pivot is a unit the rank
+and the integral RREF hold over Q and over every F_p at once (Dumas,
+Saunders and Villard, JSC 2001, reduce homology boundary matrices this
+way first); over F_p the result is read mod p.  A matrix that is not
+integral, or needs a pivot that is not a unit, falls back to elimination
+over its field.  Over Q each row is scaled to integers and reduced
+fraction-free (row = b*row - a*pivot), and every new row is divided by
+the gcd of its entries, which keeps the integers small.  Over F_p the
+entries are ints mod p and each pivot row is scaled to a leading 1.
+rank stops after forward elimination; rref and kernel_basis also
+back-substitute, and only their output turns into Fractions.  The reduced
+row echelon form is unique, so results do not depend on the order rows
+are eliminated in or on the path taken.  rank skips elimination on a
+matrix with at most one row or one column: its rank is 1 exactly when
+some entry is non-zero in the field.
+
+Every result that could differ between fields (a fallback, or a thin
+matrix with no entry 1 or -1) moves a per-thread counter,
+:func:`_field_dependence`.  A caller that finds the counter unmoved
+across a computation over one field may reuse the result for any other.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -240,6 +253,19 @@ class InvariantError(AssertionError):
 
 
 _INT = {int}
+_local = threading.local()
+
+
+def _field_dependence() -> int:
+    """How often this thread has computed, or read from a cache, a result
+    that could differ between fields.  Per thread, so that another
+    thread's work never hides one."""
+    return getattr(_local, "count", 0)
+
+
+def _depends_on_field() -> None:
+    """Record that the result being computed could differ between fields."""
+    _local.count = getattr(_local, "count", 0) + 1
 
 
 def _integral(row: dict) -> dict:
@@ -273,7 +299,8 @@ def _eliminate(row: dict, prow: dict, col: int, p: int | None) -> dict:
     """b*row - a*prow with a, b chosen to clear column col.
 
     Over Q (p None) this is fraction-free and the result is divided by its
-    content.  Over F_p prow has a leading 1, so b = 1.
+    content.  Over F_p prow has a leading 1, so b = 1.  With p = 0 prow
+    has a leading 1 and the arithmetic is over the integers.
     """
     a, b = row[col], prow[col]
     if p is None:
@@ -282,7 +309,7 @@ def _eliminate(row: dict, prow: dict, col: int, p: int | None) -> dict:
     out = {j: b * v for j, v in row.items()} if b != 1 else dict(row)
     for j, v in prow.items():
         nv = out.get(j, 0) - a * v
-        if p is not None:
+        if p:
             nv %= p
         if nv:
             out[j] = nv
@@ -293,15 +320,58 @@ def _eliminate(row: dict, prow: dict, col: int, p: int | None) -> dict:
     return out
 
 
+def _unit_echelon(rows: dict, reduced: bool) -> dict | None:
+    """Echelon rows over the integers pivoting only on entries 1 and -1,
+    keyed by pivot column, each pivot entry 1; None when a row holds a
+    non-int or a pivot would not be a unit.  The row operations are
+    unimodular, so these rows read mod p are the echelon rows over F_p
+    and, as they are, over Q.  With reduced=True they form the RREF."""
+    pivots: dict = {}
+    for row in rows.values():
+        if not _INT.issuperset(map(type, row.values())):
+            return None
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                a = row[lead]
+                if a == -1:
+                    row = {j: -v for j, v in row.items()}
+                elif a != 1:
+                    return None
+                pivots[lead] = row
+                break
+            row = _eliminate(row, prow, lead, 0)
+    if reduced:
+        _back_substitute(pivots, 0)
+    return pivots
+
+
 def _echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
     """Echelon rows of m keyed by pivot column: {pivot: {col: int}}.
 
-    Each row's smallest column is its pivot; over F_p the pivot entry is 1.
-    With reduced=True every row is also zero in the other pivot columns,
-    so dividing each row by its pivot entry gives the RREF.  The rows of
-    m are never mutated (matrices share them): every changed row is a new
-    dict, and a pivot row may be one of m's own rows.
+    Each row's smallest column is its pivot; over F_p the pivot entry is 1
+    and, with reduced=True, every entry is a residue in [1, p).  With
+    reduced=True every row is also zero in the other pivot columns, so
+    dividing each row by its pivot entry gives the RREF.  The rows of m
+    are never mutated (matrices share them): every changed row is a new
+    dict, and a pivot row may be one of m's own rows.  Unit pivots over
+    the integers come first; the elimination over the field is the
+    fallback, and it moves the field-dependence counter.
     """
+    pivots = _unit_echelon(m.rows, reduced)
+    if pivots is None:
+        _depends_on_field()
+        return _field_echelon(m, field, reduced)
+    p = field.p
+    if p is not None and reduced:
+        pivots = {lead: {j: r for j, v in row.items() if (r := v % p)}
+                  for lead, row in pivots.items()}
+    return pivots
+
+
+def _field_echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
+    """The echelon rows of :func:`_echelon`, eliminating over the field."""
     p = field.p
     pivots: dict = {}
     for row in _int_rows(m.rows, field).values():
@@ -316,12 +386,17 @@ def _echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
                 break
             row = _eliminate(row, prow, lead, p)
     if reduced:
-        for lead in sorted(pivots, reverse=True):
-            row = pivots[lead]
-            for col in [j for j in row if j != lead and j in pivots]:
-                row = _eliminate(row, pivots[col], col, p)
-            pivots[lead] = row
+        _back_substitute(pivots, p)
     return pivots
+
+
+def _back_substitute(pivots: dict, p: int | None) -> None:
+    """Clear every pivot column from the other rows, in place."""
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for col in [j for j in row if j != lead and j in pivots]:
+            row = _eliminate(row, pivots[col], col, p)
+        pivots[lead] = row
 
 
 def _rref_rows(m: Matrix, field: CoefficientField) -> dict:
@@ -352,8 +427,14 @@ def rank(m: Matrix, field: CoefficientField) -> int:
     if m.nrows <= 1 or m.ncols <= 1:
         # 1 iff some entry is non-zero in the field.  Over F_p every entry
         # is converted, so a vanishing denominator raises as it does below.
-        return int(bool(m.rows if field.p is None
-                        else _int_rows(m.rows, field)))
+        # An int entry 1 or -1 is non-zero in every field.
+        rows = m.rows if field.p is None else _int_rows(m.rows, field)
+        if m.rows:
+            values = [v for row in m.rows.values() for v in row.values()]
+            if not (_INT.issuperset(map(type, values))
+                    and (1 in values or -1 in values)):
+                _depends_on_field()
+        return int(bool(rows))
     return len(_echelon(m, field, reduced=False))
 
 

@@ -31,7 +31,7 @@ import itertools
 
 from .complexes import Complex, NotPureError, Record, build, label_key
 from .homology import _cached, _store, reduced_betti, top_restriction_surjective
-from .linalg import CoefficientField, InvariantError
+from .linalg import CoefficientField, InvariantError, _field_dependence
 
 
 class ColoringError(Exception):
@@ -163,7 +163,8 @@ def _memoised(prop: str):
     ``("report", prop, index form, field label[, m])``.  The entry is the
     verdict and the witness with vertices as positions in ``c.vertices``,
     so relabelled complexes share it; the report returned has the witness
-    in the labels of the complex asked about."""
+    in the labels of the complex asked about.  A report whose computation
+    depended on the field is stored marked, as homology entries are."""
     def decorate(compute):
         @functools.wraps(compute)
         def predicate(c: Complex, *args) -> PropertyReport:
@@ -171,10 +172,12 @@ def _memoised(prop: str):
             key = ("report", prop, c.index_form, field.label, *m)
             found = _cached(key)
             if found is None:
+                before = _field_dependence()
                 report = compute(c, *args)
                 position = c._positions().__getitem__
                 found = _store(key, (report.verdict,
-                                     _map_witness(report.witness, position)))
+                                     _map_witness(report.witness, position)),
+                               _field_dependence() != before)
             verdict, witness = found
             return _report(prop, field, verdict,
                            _map_witness(witness, c.vertices.__getitem__))

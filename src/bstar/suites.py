@@ -8,13 +8,16 @@ fails.  Records are sorted by case id before the report is assembled, so
 reports are independent of execution order; the JSON and text renderings
 contain identical verdicts.
 
-``lemma-oracle`` and ``hierarchy``, the two costliest suites, deal their
-fields over the usable CPUs: the calling process runs one share and a
-forked child each other share (see ``_per_field``).  They run serially
-when one CPU is usable, when there is no ``os.fork`` or when another
-thread is alive.  Every other suite runs serially: its per-field work
-takes a few milliseconds at most, near the 2-3 ms that a fork and the
-round trip of its result take.
+``lemma-oracle`` and ``hierarchy``, the two costliest suites, compute
+each complex once for every field (see ``_for_every_field``): over the
+first field, and over the others only when some rank on the way depended
+on the field, as torsion makes it do (``rp2_min`` has 2-torsion).  Both
+deal their complexes over the usable CPUs: the calling process runs one
+share and a forked child each other share (see ``_dealt``).  They run
+serially when one CPU is usable, when there is no ``os.fork`` or when
+another thread is alive.  Every other suite runs serially: its work takes
+a few milliseconds at most, near the 2-3 ms that a fork and the round
+trip of its result take.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .families import (cross_polytope, fixture, fixture_names,
                        skeleton_join_sphere, stacked_cross_polytopal_sphere)
 from .homology import (reduced_betti, relative_betti_vector,
                        pair_restriction_surjective, top_restriction_surjective)
-from .linalg import GF2, GF3, QQ, CoefficientField, InvariantError
+from .linalg import (GF2, GF3, QQ, CoefficientField, InvariantError,
+                     _field_dependence)
 from .properties import (Coloring, is_buchsbaum, is_buchsbaum_star,
                          is_doubly_buchsbaum, is_m_buchsbaum_star, is_m_cm,
                          rank_selected, revalidate_witness)
@@ -231,24 +235,57 @@ def _proper_nonempty_subsets(d: int):
         yield from itertools.combinations(range(1, d + 1), size)
 
 
-# -- one field per core ------------------------------------------------------
+# -- one complex per core, computed once for every field --------------------
 
-def _per_field(fields, work) -> list:
-    """The cases of ``work(f)`` for every field f, concatenated in field
-    order.  With w = min(len(fields), usable CPUs) >= 2, w - 1 forked
-    children run ``fields[k::w]`` (k = 1 .. w-1) while this process runs
-    ``fields[0::w]``; each child sends its cases, or the exception it
-    raised, back through a pipe.  It runs serially when w < 2, when there
-    is no ``os.fork``, or when another thread is alive, since a fork taken
-    while that thread holds a lock (such as the homology cache lock) leaves
-    the lock held in the child.  Only this process keeps its cache
-    entries.  No child outlives the call."""
+def _for_every_field(fields, cases_over) -> list:
+    """The cases of ``cases_over(f)`` for every field f, in field order.
+
+    They are computed over the first field.  When that computation left
+    this thread's field-dependence counter unmoved (see :mod:`bstar.linalg`),
+    every rank and cached entry it used holds over every field, so the
+    cases of the other fields are the same records with only ``field``
+    changed.  Otherwise every field is computed."""
+    if not fields:
+        return []
+    before = _field_dependence()
+    first = cases_over(fields[0])
+    if _field_dependence() != before:
+        return first + [case for f in fields[1:] for case in cases_over(f)]
+    return first + [CaseRecord(c.case_id, c.prop, f.label, c.expected, c.got,
+                               c.witness, c.passed)
+                    for f in fields[1:] for c in first]
+
+
+def _face_count(c: Complex) -> int:
+    """The work of both dealt suites grows with the faces of a complex."""
+    return sum(map(len, c.face_table()))
+
+
+def _dealt(items, work, cost) -> list:
+    """The cases of ``work(item)`` for every item, concatenated in item
+    order.  With w = min(len(items), usable CPUs) >= 2, the items are
+    dealt into w shares of about equal total ``cost(item)``: each item,
+    costliest first, goes to the share with the least cost so far.  w - 1
+    forked children run shares 1 .. w-1 while this process runs share 0;
+    each child sends its cases, or the exception it raised, back through
+    a pipe.  It runs serially when w < 2, when there is no ``os.fork``, or
+    when another thread is alive, since a fork taken while that thread
+    holds a lock (such as the homology cache lock) leaves the lock held in
+    the child.  Only this process keeps its cache entries.  No child
+    outlives the call."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(len(fields), cpus)
+    workers = min(len(items), cpus)
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [case for f in fields for case in work(f)]
+        return [case for item in items for case in work(item)]
     import pickle  # here: at the top it adds 0.4 MB to every bstar process
+    costs = list(map(cost, items))
+    shares = [[] for _ in range(workers)]  # item indices per share
+    loads = [0] * workers
+    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
     children = []  # (pid, read end of its pipe) for k = 1 .. w-1
     try:
         for k in range(1, workers):
@@ -256,24 +293,26 @@ def _per_field(fields, work) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(write, work, fields[k::workers])
+                    _child(write, work, [items[i] for i in shares[k]])
             except BaseException:
                 os.close(read)
                 raise
             finally:
                 os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        shares = [[work(f) for f in fields[0::workers]]]
+        results = [None] * len(items)
+        for i in shares[0]:
+            results[i] = work(items[i])
         for k, (pid, pipe) in enumerate(children, start=1):
             data = pipe.read()
             if not data:
                 raise ChildProcessError(
-                    f"the worker for fields "
-                    f"{[f.label for f in fields[k::workers]]} sent no result")
+                    f"worker {k} of {workers} sent no result")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            shares.append(value)
+            for i, result in zip(shares[k], value):
+                results[i] = result
     except BaseException:
         for pid, _ in children:
             with suppress(ProcessLookupError):
@@ -285,21 +324,18 @@ def _per_field(fields, work) -> list:
             # ChildProcessError: reaped already, as when SIGCHLD is ignored
             with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    by_field = [None] * len(fields)
-    for k, share in enumerate(shares):
-        by_field[k::workers] = share
-    return [case for cases in by_field for case in cases]
+    return [case for cases in results for case in cases]
 
 
-def _child(write, work, fields):
-    """Body of a forked child: write (True, per-field cases) or (False,
+def _child(write, work, items):
+    """Body of a forked child: write (True, cases per item) or (False,
     exception) to the pipe, then leave through ``os._exit``, so that the
     caller's frames never run twice and the parent's buffered output is
     not flushed a second time."""
     try:
         import pickle
         try:
-            result = (True, [work(f) for f in fields])
+            result = (True, [work(item) for item in items])
         except Exception as exc:
             result = (False, exc)
         with os.fdopen(write, "wb") as pipe:
@@ -492,75 +528,73 @@ def _suite_orientability(fields, seed, max_n):
 
 
 def _suite_lemma_oracle(fields, seed, max_n):
-    inputs = [(e.cid, e.complex) for e in corpus()]
+    inputs = [(e.cid, e.complex) for e in corpus() if not e.complex.is_void]
     inputs.extend(_random_pure_corpus(seed, 100, max_n or 7))
 
-    def work(f):
-        cases = []
-        for cid, cx in inputs:
-            if cx.is_void:
+    def case(cid, cx, f):
+        bad = None
+        for tau in cx.faces_sorted():
+            if not tau:
                 continue
-            bad = None
-            for tau in cx.faces_sorted():
-                if not tau:
-                    continue
-                rel = relative_betti_vector(cx, tau, f)
-                link_betti = reduced_betti(cx.link(tau), f)
-                for i in range(-1, cx.dim + 1):
-                    if rel[i] != link_betti[i - len(tau)]:
-                        bad = (tau, i, rel[i], link_betti[i - len(tau)])
-                        break
-                if bad:
+            rel = relative_betti_vector(cx, tau, f)
+            link_betti = reduced_betti(cx.link(tau), f)
+            for i in range(-1, cx.dim + 1):
+                if rel[i] != link_betti[i - len(tau)]:
+                    bad = (tau, i, rel[i], link_betti[i - len(tau)])
                     break
-            cases.append(_case(f"{cid}", "contrastar_link_shift", f.label,
-                               None, bad))
-        return cases
+            if bad:
+                break
+        return [_case(f"{cid}", "contrastar_link_shift", f.label, None, bad)]
 
-    return _per_field(fields, work), ()
+    def work(item):
+        cid, cx = item
+        return _for_every_field(fields, lambda f: case(cid, cx, f))
+
+    return _dealt(inputs, work, lambda item: _face_count(item[1])), ()
 
 
 def _suite_hierarchy(fields, seed, max_n):
-    entries = corpus()
-
-    def work(f):
+    def cases_over(entry, f):
         cases = []
-        for entry in entries:
-            cx = entry.complex
-            star = is_buchsbaum_star(cx, f)
-            if star.verdict:
-                d = cx.dim + 1
-                if d >= 2:
-                    betti = reduced_betti(cx, f)
-                    cases.append(_case(f"{entry.cid}|top_betti", "nonzero_top",
-                                       f.label, True, betti[cx.dim] >= 1))
-                    links_ok = all(
-                        is_m_cm(cx.link((v,)), 2, f).verdict
-                        for v in cx.vertices)
-                    cases.append(_case(f"{entry.cid}|links_2cm", "two_cm_links",
-                                       f.label, True, links_ok))
-                dbl = is_doubly_buchsbaum(cx, f)
-                cases.append(_case(f"{entry.cid}|doubly", "doubly_buchsbaum",
-                                   f.label, True, dbl.verdict, dbl.witness))
-            elif star.witness is not None:
-                cases.append(_case(f"{entry.cid}|witness_sound", "witness",
-                                   f.label, True,
-                                   revalidate_witness(cx, star, f),
-                                   star.witness))
-            buchs = is_buchsbaum(cx, f)
-            if buchs.verdict:
-                all_c = all(
-                    top_restriction_surjective(cx, tau, f)
-                    for tau in cx.faces_sorted() if tau)
-                all_b = all(
-                    pair_restriction_surjective(cx, sigma, tau, f)
-                    for tau in cx.faces_sorted() if tau
-                    for k in range(len(tau) + 1)
-                    for sigma in itertools.combinations(tau, k))
-                cases.append(_case(f"{entry.cid}|b_iff_c", "conditions_b_c",
-                                   f.label, all_c, all_b))
+        cx = entry.complex
+        star = is_buchsbaum_star(cx, f)
+        if star.verdict:
+            d = cx.dim + 1
+            if d >= 2:
+                betti = reduced_betti(cx, f)
+                cases.append(_case(f"{entry.cid}|top_betti", "nonzero_top",
+                                   f.label, True, betti[cx.dim] >= 1))
+                links_ok = all(
+                    is_m_cm(cx.link((v,)), 2, f).verdict
+                    for v in cx.vertices)
+                cases.append(_case(f"{entry.cid}|links_2cm", "two_cm_links",
+                                   f.label, True, links_ok))
+            dbl = is_doubly_buchsbaum(cx, f)
+            cases.append(_case(f"{entry.cid}|doubly", "doubly_buchsbaum",
+                               f.label, True, dbl.verdict, dbl.witness))
+        elif star.witness is not None:
+            cases.append(_case(f"{entry.cid}|witness_sound", "witness",
+                               f.label, True,
+                               revalidate_witness(cx, star, f),
+                               star.witness))
+        buchs = is_buchsbaum(cx, f)
+        if buchs.verdict:
+            all_c = all(
+                top_restriction_surjective(cx, tau, f)
+                for tau in cx.faces_sorted() if tau)
+            all_b = all(
+                pair_restriction_surjective(cx, sigma, tau, f)
+                for tau in cx.faces_sorted() if tau
+                for k in range(len(tau) + 1)
+                for sigma in itertools.combinations(tau, k))
+            cases.append(_case(f"{entry.cid}|b_iff_c", "conditions_b_c",
+                               f.label, all_c, all_b))
         return cases
 
-    return _per_field(fields, work), ()
+    def work(entry):
+        return _for_every_field(fields, lambda f: cases_over(entry, f))
+
+    return _dealt(corpus(), work, lambda entry: _face_count(entry.complex)), ()
 
 
 _SUITES = {

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -134,6 +135,50 @@ def oracle_betti(facets, p=None):
         r_in = ranks[degree + 1] if degree + 1 < len(ranks) else 0
         values.append(counts[degree + 1] - r_out - r_in)
     return tuple(values)
+
+
+def smith_betti(facets, p=None):
+    """Reduced Betti numbers for degrees -1..top over Q (p None) or F_p,
+    from sympy's integral Smith normal forms of the boundary matrices: a
+    rank over Q counts the non-zero invariant factors, over F_p those
+    that p does not divide."""
+    bases = oracle_bases(facets)
+    ranks = {}
+    for degree, b in enumerate(oracle_boundaries(facets)):
+        if not b or not b[0]:
+            ranks[degree] = 0
+            continue
+        snf = smith_normal_form(sympy.Matrix(b), domain=sympy.ZZ)
+        factors = [snf[i, i] for i in range(min(snf.shape))]
+        ranks[degree] = sum(1 for d in factors
+                            if d != 0 and (p is None or d % p != 0))
+    return tuple(len(bases[degree]) - ranks.get(degree, 0)
+                 - ranks.get(degree + 1, 0) for degree in sorted(bases))
+
+
+def wrapped_disk(k, prefix):
+    """Facets of a disk whose boundary wraps k >= 2 times around the
+    triangle on {prefix}a, {prefix}b, {prefix}c: a mod-k Moore space, with
+    integral H_1 = Z/k and H_2 = 0 (k = 2 is a projective plane).  The
+    boundary 3k-gon, its vertices labelled a, b, c in turn, is joined to
+    an inner 3k-cycle of new vertices, which is coned off."""
+    n = 3 * k
+    outer = [f"{prefix}{'abc'[i % 3]}" for i in range(n)]
+    inner = [f"{prefix}w{i}" for i in range(n)]
+    facets = []
+    for i in range(n):
+        j = (i + 1) % n
+        facets += [(outer[i], outer[j], inner[i]),
+                   (outer[j], inner[i], inner[j]),
+                   (inner[i], inner[j], f"{prefix}z")]
+    return facets
+
+
+# Two mod-3 Moore spaces and a projective plane, disjoint: integral H_0 is
+# Z^2 (reduced), H_1 = Z/3 + Z/3 + Z/2, so Q, F2 and F3 all differ.
+TORSION_FACETS = (wrapped_disk(3, "a") + wrapped_disk(3, "b")
+                  + wrapped_disk(2, "c"))
+TORSION_BETTI = {None: (0, 2, 0, 0), 2: (0, 2, 1, 1), 3: (0, 2, 2, 2)}
 
 
 def oracle_cm_violation(facets, p=None):
@@ -264,6 +309,30 @@ def oracle_kernel_basis(rows, ncols, p=None):
             if not field.is_zero(v):
                 entries[(pc, k)] = field.neg(v)
     return entries
+
+
+def sympy_kernel_basis(rows, ncols, p=None):
+    """Non-zero entries {(row, col): value} of the canonical null-space
+    basis read off sympy's RREF over Q (Fraction values) or F_p (ints in
+    [0, p)): column k is 1 at the k-th free column, 0 at the other free
+    columns and minus the RREF entry at each pivot column."""
+    domain = sympy.QQ if p is None else GF(p)
+    m = DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(domain)
+    reduced, pivots = m.rref()
+    reduced = reduced.to_Matrix()
+    free = [c for c in range(ncols) if c not in pivots]
+    entries = {}
+    for k, fc in enumerate(free):
+        entries[(fc, k)] = 1
+        for r, pc in enumerate(pivots):
+            entries[(pc, k)] = -reduced[r, fc]
+    out = {}
+    for key, v in entries.items():
+        v = sympy.Rational(v)
+        value = Fraction(int(v.p), int(v.q)) if p is None else int(v) % p
+        if value:
+            out[key] = value
+    return out
 
 
 # -- matrix helpers used only by the tests -----------------------------------

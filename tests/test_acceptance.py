@@ -7,7 +7,7 @@ import itertools
 import json
 import time
 
-from bstar import build, parse_text, run_suite
+from bstar import build, parse_text, run_suite, stacked_cross_polytopal_sphere
 from bstar.cli import main
 
 
@@ -142,3 +142,11 @@ def test_scale_rank_select_long_path(tmp_path):
                                      "-o", str(out)]))
     doc = json.loads(out.read_text())
     assert code == 0 and len(doc["facets"]) == n and len(doc["coloring"]) == n + 1
+
+
+def test_scale_stacked_cross_polytopal_sphere():
+    # 499 copies of the octahedron glued onto one facet list, built once
+    cx, coloring = _timed("scale: stacked cross-polytopal sphere n=1500 d=3",
+                          2.0, lambda: stacked_cross_polytopal_sphere(1500, 3))
+    assert cx.n_vertices == 1500 and len(cx.facets) == 499 * 8 - 2 * 498
+    assert len(coloring.assignment) == 1500

@@ -1,6 +1,6 @@
 import pytest
 
-from bstar import (GF2, QQ, ConstructionError, LabelCollisionError,
+from bstar import (GF2, QQ, Coloring, ConstructionError, LabelCollisionError,
                    UnknownFixtureError, build, connected_sum, cross_polytope,
                    f_vector, fixture, fixture_names, h_vector, is_buchsbaum,
                    is_buchsbaum_star, multi_point_join,
@@ -109,6 +109,35 @@ def test_scps_is_buchsbaum_star_sphere():
     for f in (QQ, GF2):
         assert is_buchsbaum_star(cx, f).verdict
     assert tuple(reduced_betti(cx, QQ)) == (0, 0, 0, 1)
+
+
+def _scps_by_connected_sums(n, d):
+    """The stacked sphere as n/d - 1 iterated connected sums, each built
+    whole: each copy glued along the last facet of the running sum."""
+    base, base_coloring = cross_polytope(d)
+    running = prefix_relabel(base, "s1")
+    colors = {f"s1{v}": c for v, c in base_coloring.assignment.items()}
+    for t in range(2, n // d):
+        glue = running.facets[-1]
+        new = prefix_relabel(base, f"s{t}")
+        new_colors = {f"s{t}{v}": c
+                      for v, c in base_coloring.assignment.items()}
+        by_color = {colors[v]: v for v in glue}
+        phi = {by_color[c]: f"s{t}x{c}" for c in range(1, d + 1)}
+        running = connected_sum(running, glue, new, sorted(phi.values()), phi,
+                                Coloring(colors, d), Coloring(new_colors, d))
+        colors.update({f"s{t}y{c}": c for c in range(1, d + 1)})
+    return running, {v: colors[v] for v in running.vertices}
+
+
+@pytest.mark.parametrize("n, d", [(9, 3), (12, 3), (12, 4), (8, 4), (16, 4),
+                                  (40, 4), (30, 5), (60, 3), (10, 2)])
+def test_scps_equals_iterated_connected_sums(n, d):
+    cx, coloring = stacked_cross_polytopal_sphere(n, d)
+    reference, colors = _scps_by_connected_sums(n, d)
+    assert cx.facets == reference.facets
+    assert cx.vertices == reference.vertices
+    assert coloring.assignment == colors and coloring.d == d
 
 
 def test_scps_parameter_validation():

@@ -10,12 +10,13 @@ from bstar import (GF2, GF3, QQ, BettiVector, FaceNotPresentError,
                    fixture, fixture_names, pair_restriction_surjective, rank,
                    reduced_betti, relative_betti_vector, simplex,
                    top_restriction_surjective)
-from bstar import homology
+from bstar import homology, linalg
 from bstar.homology import load_betti_cache, save_betti_cache
 from bstar.linalg import product_is_zero
 
-from oracles import (check_frozen_record, dense_rows, oracle_betti,
-                     oracle_restriction_surjective)
+from oracles import (TORSION_BETTI, TORSION_FACETS, check_frozen_record,
+                     dense_rows, oracle_betti, oracle_restriction_surjective,
+                     smith_betti)
 
 facet_lists = st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
                        min_size=1, max_size=8)
@@ -253,7 +254,8 @@ def test_source_cycle_bases_span_the_target_nullity(fl, field):
     for face in c.faces_sorted():
         s = c.vertex_mask(face)
         basis = homology._source_cycles(c, s, field)
-        cols, boundary = homology._top_boundary(c, s)
+        top, rows, cols = homology._top_star(c, s)
+        boundary = top.submatrix(rows, cols)
         assert set(basis.rows) <= set(cols)
         if field is QQ:
             assert all(type(v) is int for v in basis.entries.values())
@@ -385,3 +387,100 @@ def test_relabelled_homology_matches_cold(fl, images, field):
     warm = answers()
     clear_caches()
     assert warm == answers()
+
+
+def test_torsion_betti_matches_smith_normal_form():
+    # two mod-3 Moore spaces and a projective plane: Q, F2 and F3 all
+    # differ, and no field's ranks come from unit pivots alone
+    c = build(TORSION_FACETS)
+    clear_caches()
+    for field in (QQ, GF2, GF3):
+        before = linalg._field_dependence()
+        got = tuple(reduced_betti(c, field))
+        assert linalg._field_dependence() > before
+        assert got == smith_betti(TORSION_FACETS, field.p) == \
+            TORSION_BETTI[field.p]
+
+
+def test_entries_that_depended_on_the_field_are_recorded(octahedron, rp2):
+    clear_caches()
+    for field in (QQ, GF2):
+        before = linalg._field_dependence()
+        reduced_betti(octahedron, field)
+        assert top_restriction_surjective(octahedron, ("x1",), field)
+        assert linalg._field_dependence() == before
+        for query in (lambda: reduced_betti(rp2, field),
+                      lambda: top_restriction_surjective(rp2, (1,), field)):
+            before = linalg._field_dependence()
+            query()
+            assert linalg._field_dependence() > before
+            before = linalg._field_dependence()
+            query()  # answered from the cache: the record moves again
+            assert linalg._field_dependence() > before
+    assert any(type(v) is homology._FieldDependent
+               for v in homology._cache.values())
+    clear_caches()
+    assert not homology._cache
+
+
+def test_the_record_leaves_with_evicted_entries(monkeypatch, rp2):
+    monkeypatch.setattr(homology, "CACHE_LIMIT", 8)
+    clear_caches()
+    reduced_betti(rp2, QQ)
+    key = ("betti", rp2.index_form, "Q")
+    assert type(homology._cache[key]) is homology._FieldDependent
+    for n in range(3, 12):
+        reduced_betti(simplex(n), QQ)
+    assert key not in homology._cache
+    assert len(homology._cache) <= 8
+    # recomputed, the vector is recorded again
+    before = linalg._field_dependence()
+    assert tuple(reduced_betti(rp2, QQ)) == (0, 0, 0, 0)
+    assert linalg._field_dependence() > before
+    assert type(homology._cache[key]) is homology._FieldDependent
+    clear_caches()
+
+
+def test_loaded_betti_vectors_are_recorded(tmp_path, octahedron):
+    clear_caches()
+    reduced_betti(octahedron, QQ)
+    path = tmp_path / "betti.json"
+    save_betti_cache(path)
+    clear_caches()
+    load_betti_cache(path)
+    before = linalg._field_dependence()
+    assert tuple(reduced_betti(octahedron, QQ)) == (0, 0, 0, 1)
+    assert linalg._field_dependence() == before + 1
+    clear_caches()
+
+
+def test_threads_never_hide_a_field_dependent_entry(octahedron, rp2):
+    # eight threads share the cache, one of them clearing it: every rp2
+    # query must move its own thread's record, from a fallback or from a
+    # marked entry another thread stored, and no octahedron query may
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def work(k):
+        wrong = 0
+        for _ in range(20):
+            if k == 0:
+                clear_caches()
+            for c, dependent in ((rp2, True), (octahedron, False)):
+                for query in (lambda: reduced_betti(c, QQ),
+                              lambda: top_restriction_surjective(
+                                  c, c.vertices[:1], GF2)):
+                    before = linalg._field_dependence()
+                    query()
+                    moved = linalg._field_dependence() != before
+                    wrong += moved != dependent
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(work, range(8))) == [0] * 8
+    finally:
+        sys.setswitchinterval(interval)
+    clear_caches()

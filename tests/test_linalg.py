@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 from math import lcm
 
@@ -11,7 +12,8 @@ from bstar import homology, linalg
 from bstar.linalg import product_is_zero
 
 from oracles import (dense_rows, identity, oracle_kernel_basis, oracle_rank,
-                     oracle_rref, span_contains, span_dim, transpose)
+                     oracle_rref, span_contains, span_dim, sympy_kernel_basis,
+                     transpose)
 
 FIELDS = ((QQ, None), (GF2, 2), (GF3, 3), (GF(5), 5))
 
@@ -298,22 +300,100 @@ def test_sparse_and_degenerate_shapes():
                 ncols, ncols, {(j, j): 1 for j in range(ncols)})
 
 
+def _corrupt_each_path(monkeypatch, rows):
+    """Patch the unit-pivot elimination, then the fallback over the field
+    (with unit pivots always failing), to return rows; yield between."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_unit_echelon", lambda *args: rows)
+        yield "unit pivots"
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_unit_echelon", lambda *args: None)
+        patch.setattr(linalg, "_field_echelon", lambda *args: rows)
+        yield "fallback"
+
+
 def test_kernel_basis_checks_rank_plus_nullity(monkeypatch):
     # an echelon form claiming a pivot beyond the last column
-    monkeypatch.setattr(linalg, "_echelon",
-                        lambda m, field, reduced: {0: {0: 1}, 5: {5: 1}})
-    with pytest.raises(InvariantError, match="nullity"):
-        kernel_basis(Matrix.from_rows([[1, 0]]), QQ)
+    for _ in _corrupt_each_path(monkeypatch, {0: {0: 1}, 5: {5: 1}}):
+        with pytest.raises(InvariantError, match="nullity"):
+            kernel_basis(Matrix.from_rows([[1, 0]]), QQ)
 
 
 def test_kernel_basis_checks_annihilation(monkeypatch):
     # the RREF of TRIANGLE_D1 is [[1, 0, -1], [0, 1, 1]]; corrupt one entry
-    monkeypatch.setattr(linalg, "_echelon",
-                        lambda m, field, reduced: {0: {0: 1, 2: -1},
-                                                   1: {1: 1, 2: 2}})
-    for field in (QQ, GF3):
-        with pytest.raises(InvariantError, match="annihilated"):
-            kernel_basis(TRIANGLE_D1, field)
+    for _ in _corrupt_each_path(monkeypatch, {0: {0: 1, 2: -1},
+                                                 1: {1: 1, 2: 2}}):
+        for field in (QQ, GF3):
+            with pytest.raises(InvariantError, match="annihilated"):
+                kernel_basis(TRIANGLE_D1, field)
+
+
+# Entries -2..2: unit pivots finish on some of these matrices and fall
+# back to elimination over the field on others.
+small_int_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(st.lists(st.integers(-2, 2), min_size=ncols,
+                                    max_size=ncols),
+                           min_size=1, max_size=6)).map(Matrix.from_rows)
+
+
+def _rref_of(rows, p):
+    """Echelon rows with each row divided by its pivot entry."""
+    if p is not None:
+        return rows
+    return {lead: {j: Fraction(v, row[lead]) for j, v in row.items()}
+            for lead, row in rows.items()}
+
+
+@given(small_int_matrices)
+def test_rank_and_kernel_match_sympy_on_both_paths(m):
+    rows = dense_rows(m)
+    for field, p in FIELDS:
+        assert rank(m, field) == oracle_rank(rows, p)
+        k = kernel_basis(m, field)
+        assert k.entries == sympy_kernel_basis(rows, m.ncols, p)
+        element = Fraction if p is None else int
+        assert all(type(v) is element for v in k.entries.values())
+        # the shared elimination gives the RREF of the fallback alone
+        assert _rref_of(linalg._echelon(m, field, True), p) == \
+            _rref_of(linalg._field_echelon(m, field, True), p)
+
+
+def test_fallbacks_move_the_field_dependence_counter():
+    unimodular = Matrix.from_rows([[2, 1], [1, 0]])
+    field_free = (TRIANGLE_D1, unimodular.take_rows([1, 0]),
+                  Matrix.from_rows([[0, -1, 2]]), Matrix(3, 1), Matrix(1, 1))
+    dependent = (Matrix.from_rows([[1, 1], [1, -1]]),  # rank 1 over F2
+                 unimodular,  # its first pivot would be 2
+                 Matrix.from_rows([[0, 2, -2]]),
+                 Matrix.from_rows([[1, Fraction(1, 7)], [0, 1]]))
+    for field, _ in FIELDS:
+        for m in field_free:
+            before = linalg._field_dependence()
+            rank(m, field)
+            kernel_basis(m, field)
+            assert linalg._field_dependence() == before, m
+        for m in dependent:
+            for routine in (rank, kernel_basis):
+                before = linalg._field_dependence()
+                routine(m, field)
+                assert linalg._field_dependence() == before + 1, m
+
+
+def test_field_dependence_is_counted_per_thread():
+    torsion = Matrix.from_rows([[1, 1], [1, -1]])
+    moved = []
+
+    def work():
+        start = linalg._field_dependence()
+        rank(torsion, QQ)
+        moved.append(linalg._field_dependence() - start)
+
+    before = linalg._field_dependence()
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join()
+    assert moved == [1]
+    assert linalg._field_dependence() == before
 
 
 def test_product_is_zero_over_fields():

@@ -10,6 +10,7 @@ from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    named, rank_selected,
                    revalidate_witness, simplex, simplex_boundary,
                    stacked_cross_polytopal_sphere)
+from bstar import clear_caches, linalg
 from oracles import check_frozen_record, oracle_cm_violation
 
 
@@ -505,3 +506,16 @@ def test_coloring_is_frozen_but_unhashable():
         Coloring({1: 1})
     with pytest.raises(TypeError):
         Coloring({1: 1}, 1, d=1)
+
+
+def test_reports_that_depended_on_the_field_are_recorded(octahedron, rp2):
+    # a memoised report moves the field-dependence record when it is
+    # computed and again when it is read, if its computation moved it
+    clear_caches()
+    for c, dependent in ((octahedron, False), (rp2, True)):
+        for _ in range(2):  # computed, then read from the memo
+            before = linalg._field_dependence()
+            report = is_buchsbaum_star(c, QQ)
+            assert (linalg._field_dependence() > before) is dependent
+        assert report.verdict is not dependent
+    clear_caches()

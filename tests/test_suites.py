@@ -9,13 +9,14 @@ import pytest
 
 import bstar
 import bstar.cli
-from bstar import (GF2, InfeasibleParameterError, InvariantError,
-                   UnknownSuiteError, __version__, clear_caches, corpus,
-                   explore_question, random_balanced_complex,
+from bstar import (GF2, GF3, QQ, InfeasibleParameterError, InvariantError,
+                   UnknownSuiteError, __version__, build, clear_caches,
+                   corpus, explore_question, random_balanced_complex,
                    random_pure_complex, run_suite, suite_names)
 from bstar import suites
+from bstar.suites import CorpusEntry
 
-from oracles import check_frozen_record
+from oracles import TORSION_FACETS, check_frozen_record
 
 
 def test_unknown_suite():
@@ -220,25 +221,80 @@ def test_forked_and_serial_runs_give_identical_reports(monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("failing_field", ["Q", "F2"])
-def test_field_error_reaches_the_caller_and_leaves_no_child(monkeypatch,
-                                                            failing_field):
-    # Q runs in this process, F2 in the child.
+@pytest.mark.parametrize("failing", ["parent", "child"])
+def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch,
+                                                             failing):
+    # the complexes are dealt to this process and to one forked child;
+    # the error is raised on those dealt to one of them
     _two_cpus(monkeypatch)
+    parent = os.getpid()
     real = suites.relative_betti_vector
 
-    def failing(cx, tau, field):
-        if field.label == failing_field:
-            raise InvariantError(f"{failing_field} fails on purpose")
+    def fails_in_one_process(cx, tau, field):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise InvariantError(f"{failing} fails on purpose")
         return real(cx, tau, field)
 
-    monkeypatch.setattr(suites, "relative_betti_vector", failing)
+    monkeypatch.setattr(suites, "relative_betti_vector", fails_in_one_process)
     clear_caches()
-    with pytest.raises(InvariantError,
-                       match=f"{failing_field} fails on purpose"):
+    with pytest.raises(InvariantError, match=f"{failing} fails on purpose"):
         run_suite("lemma-oracle")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _cases(*reports):
+    return sorted(((c.case_id, c.prop, c.field), c) for r in reports
+                  for c in r.cases)
+
+
+@pytest.mark.parametrize("name", ["lemma-oracle", "hierarchy"])
+def test_three_fields_give_the_cases_of_three_single_field_runs(name):
+    joint = run_suite(name, fields=(QQ, GF2, GF3))
+    single = [run_suite(name, fields=(f,)) for f in (QQ, GF2, GF3)]
+    assert _cases(joint) == _cases(*single)
+    clear_caches()
+    assert _cases(run_suite(name, fields=(GF2, QQ))) == _cases(*single[:2])
+    assert run_suite(name, fields=()).cases == []
+
+
+def test_torsion_complexes_are_computed_per_field(monkeypatch):
+    # cases are reused across fields only where no rank depended on the
+    # field: never for the cone over the torsion complex (the link of its
+    # apex has torsion), nor for rp2_min in hierarchy
+    cone = build([f + ("apex",) for f in TORSION_FACETS])
+    entries = [CorpusEntry("torsion_cone", cone, None),
+               suites._entry("rp2_min"), suites._entry("octahedron")]
+    monkeypatch.setattr(suites, "corpus", lambda: list(entries))
+    monkeypatch.setattr(suites, "_random_pure_corpus", lambda *args: [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)  # serial: the spies see every call
+    seen = {}
+
+    def spy(name):
+        real = getattr(suites, name)
+
+        def record(cx, *args):
+            seen.setdefault(cx.facets, set()).add(args[-1].label)
+            return real(cx, *args)
+
+        monkeypatch.setattr(suites, name, record)
+
+    spy("relative_betti_vector")
+    spy("is_buchsbaum_star")
+    fields = (QQ, GF2, GF3)
+    for name in ("lemma-oracle", "hierarchy"):
+        seen.clear()
+        clear_caches()
+        joint = run_suite(name, fields=fields)
+        assert seen.pop(cone.facets) == {"Q", "F2", "F3"}
+        rp2_fields = seen.pop(suites._entry("rp2_min").complex.facets)
+        if name == "hierarchy":
+            assert rp2_fields == {"Q", "F2", "F3"}
+        assert seen == {suites._entry("octahedron").complex.facets: {"Q"}}
+        single = [run_suite(name, fields=(f,)) for f in fields]
+        assert _cases(joint) == _cases(*single)
+    clear_caches()
 
 
 def test_verify_all_prints_each_report_once():
