@@ -22,7 +22,7 @@ from .homology import (BettiVector, clear_caches, pair_restriction_surjective,
                        reduced_betti, relative_betti_vector,
                        top_restriction_surjective)
 from .linalg import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
-                     Matrix, ShapeError, kernel_basis, rank, rref)
+                     Matrix, ShapeError, kernel_basis, rank)
 from .properties import (UNKNOWN, Coloring, ColoringError, PropertyReport,
                          Witness, find_balanced_coloring, is_buchsbaum,
                          is_buchsbaum_star, is_cohen_macaulay,

@@ -231,8 +231,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_explore(args) -> int:
     report = explore_question(args.m, args.i, args.d, n_max=args.max_n,
-                              seed=args.seed,
-                              field=args.field or QQ)
+                              seed=args.seed, field=args.field)
     print(json.dumps(report.to_dict()) if args.json else report.render_text())
     return 0 if report.passed else 1
 

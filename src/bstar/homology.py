@@ -14,26 +14,29 @@ cross-check.  Absolute homology is the case tau = empty face (bitmask 0):
 cost of the empty face is the void complex, so the quotient complex is
 the whole augmented chain complex and H(Delta) = H(Delta, cost(empty)).
 
-Results live in one cache keyed ``(kind, index form, ...)``, where the
-index form of a complex is its facets with each vertex replaced by its
-position in the sorted vertex list (:attr:`Complex.index_form`).  The
-kinds are:
+Every cached result goes through one memo, :func:`_memo`, which keeps
+``compute(c, *args)`` in one cache under ``(kind, index form, *args)``.
+The index form of a complex is its facets with each vertex replaced by
+its position in the sorted vertex list (:attr:`Complex.index_form`), a
+face tau is the bitmask of its vertex positions, and a field is the
+interned :class:`CoefficientField` itself.  The kinds are:
 
-- ``chain``: chain data per complex, its bases read from the complex's
-  face table (:meth:`Complex.face_table`);
-- ``betti``: Betti vectors per complex and field;
-- ``report``: the property reports of :mod:`bstar.properties` per
-  predicate, complex, field (and m), witnesses as vertex positions;
-- ``star``: per complex and face tau, given as a bitmask of vertex
-  positions, the basis indices of the faces containing tau in every
-  degree, shared by every field; only relative Betti vectors use it;
-- ``rel_kernel``: per complex, source face sigma of a restriction test
-  and field, a basis of the top cycles of the quotient complex, its rows
-  keyed by facet basis index and its entries ints (at sigma empty, the
-  top cycle space);
-- ``nullity``: per complex, target face tau of a restriction test and
-  field, the basis indices of the facets containing tau and the
-  dimension of the quotient complex's top cycle space, from one rank.
+- ``chain`` ``(c)``: chain data, its bases read from the complex's face
+  table (:meth:`Complex.face_table`);
+- ``betti`` ``(c, field)``: Betti vectors;
+- ``star`` ``(c, tau)``: per degree, the basis indices of the faces
+  containing tau, shared by every field; only relative Betti vectors
+  use it;
+- ``rel_kernel`` ``(c, sigma, field)``: for the source face sigma of a
+  restriction test, a basis of the top cycles of the quotient complex,
+  its rows keyed by facet basis index and its entries ints (at sigma
+  empty, the top cycle space);
+- ``nullity`` ``(c, tau, field)``: for the target face tau of a
+  restriction test, the basis indices of the facets containing tau and
+  the dimension of the quotient complex's top cycle space, from one rank;
+- one kind per predicate of :mod:`bstar.properties`, named after it
+  (``cohen_macaulay``, ``m_cm`` with ``(c, m, field)``, ...): the verdict
+  and the witness as vertex positions.
 
 The ranks behind relative Betti vectors are recomputed from ``star`` on
 every call, since they are rarely asked for twice.  Complexes that differ
@@ -48,10 +51,10 @@ concurrent identical queries get one object, and a full cache
 (CACHE_LIMIT entries) drops its oldest quarter, which costs only
 recomputation.
 
-The cache records which entries depended on the field.  Ranks move a
+The memo records which entries depended on the field.  Ranks move a
 per-thread counter (:func:`bstar.linalg._field_dependence`) whenever
 their result could differ between fields.  An entry whose computation
-moved the counter is stored marked, and reading it moves the reader's
+moved the counter is stored marked, and returning it moves the caller's
 counter again, so a computation that finds the counter unmoved, cache
 hits included, holds over every field.  The mark lives in the entry: it
 goes when the entry is evicted or the cache is cleared.  Betti vectors
@@ -61,6 +64,7 @@ field.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -91,29 +95,40 @@ class _FieldDependent:
         self.value = value
 
 
-def _cached(key):
-    """The value cached for key, or None.  Reading a value whose
-    computation depended on the field moves this thread's counter."""
-    value = _cache.get(key)
-    if type(value) is _FieldDependent:
-        _depends_on_field()
-        return value.value
-    return value
-
-
-def _store(key, value, dependent: bool = False):
+def _store(key, value):
     """Insert unless the key is present, first dropping the oldest quarter
-    of a full cache; return the value kept for the key.  A dependent value
-    (its computation moved the field-dependence counter) is marked, and
-    the mark leaves the cache with the entry."""
-    if dependent:
-        value = _FieldDependent(value)
+    of a full cache; return the value kept for the key, marked or not."""
     with _cache_lock:
         if len(_cache) >= CACHE_LIMIT:
             for old in list(islice(_cache, len(_cache) - CACHE_LIMIT * 3 // 4)):
                 del _cache[old]
-        kept = _cache.setdefault(key, value)
-    return kept.value if type(kept) is _FieldDependent else kept
+        return _cache.setdefault(key, value)
+
+
+def _memo(kind: str):
+    """Cache ``compute(c, *args)`` under ``(kind, c.index_form, *args)``,
+    a field argument being the interned :class:`CoefficientField` itself.
+    A value whose computation moved this thread's field-dependence counter
+    is stored marked, and returning a marked value moves the counter
+    again, so the record survives every cache hit."""
+    def decorate(compute):
+        @functools.wraps(compute)
+        def memo(c: Complex, *args, **named):
+            key = (kind, c.index_form) + args
+            if named:
+                key += tuple(named.values())
+            value = _cache.get(key)
+            if value is None:
+                before = _field_dependence()
+                value = compute(c, *args, **named)
+                value = _store(key, value if _field_dependence() == before
+                               else _FieldDependent(value))
+            if type(value) is _FieldDependent:
+                _depends_on_field()
+                return value.value
+            return value
+        return memo
+    return decorate
 
 
 class BettiVector(Record):
@@ -145,16 +160,12 @@ class BettiVector(Record):
         return f"BettiVector({self.values}, {self.field.label})"
 
 
+@_memo("chain")
 def _chain_data(c: Complex):
     """Boundary matrices over the integers and, per degree, the vertex
-    bitmask of each basis face (bit i for the i-th vertex of c), cached
-    per index form; the bases are the rows of the face table of c, so
-    boundaries[j] maps degree-j chains to degree-(j-1) chains in the
-    order of ``c.faces_of_dim``."""
-    key = ("chain", c.index_form)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
+    bitmask of each basis face (bit i for the i-th vertex of c); the bases
+    are the rows of the face table of c, so boundaries[j] maps degree-j
+    chains to degree-(j-1) chains in the order of ``c.faces_of_dim``."""
     bases = c.face_table()
     bit = [1 << i for i in range(c.n_vertices)]
     masks = tuple(tuple(sum(map(bit.__getitem__, face)) for face in basis)
@@ -173,39 +184,32 @@ def _chain_data(c: Complex):
     for j in range(1, len(boundaries)):
         if not boundaries[j - 1].matmul(boundaries[j]).is_zero:
             raise InvariantError(f"boundary of boundary is not zero in degree {j}")
-    return _store(key, (tuple(boundaries), masks))
+    return tuple(boundaries), masks
 
 
+@_memo("betti")
 def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
     """Reduced Betti numbers of a non-void complex: the relative Betti
     numbers at the empty face, whose quotient complex is the whole
     augmented chain complex."""
     if c.is_void:
         raise ValueError("Betti numbers of the void complex are undefined")
-    key = ("betti", c.index_form, field.label)
-    cached = _cached(key)
-    if cached is not None:
-        return cached
-    before = _field_dependence()
     counts, ranks = _relative_data(c, 0, field)
     bv = BettiVector(_betti_values(counts, ranks, c.dim), field)
     chi_f = sum(-n if degree % 2 else n for degree, n in counts.items())
     if bv.chi_reduced() != chi_f:
         raise InvariantError(f"Euler characteristic mismatch: "
                              f"{bv.chi_reduced()} != {chi_f}")
-    return _store(key, bv, _field_dependence() != before)
+    return bv
 
 
+@_memo("star")
 def _superset_indices(c: Complex, t: int) -> dict:
     """Per degree, the basis indices of faces containing the face with
-    vertex bitmask t, cached per index form and t for every field."""
-    key = ("star", c.index_form, t)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
+    vertex bitmask t, shared by every field."""
     _, masks = _chain_data(c)
-    return _store(key, {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
-                        for k in range(t.bit_count(), len(masks))})
+    return {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
+            for k in range(t.bit_count(), len(masks))}
 
 
 def _relative_data(c: Complex, t: int, field: CoefficientField):
@@ -256,16 +260,12 @@ def _top_star(c: Complex, t: int) -> tuple:
     return boundaries[-1], rows, cols
 
 
+@_memo("rel_kernel")
 def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
     """A basis of the top cycles of the quotient complex at the face with
     vertex bitmask s (at s = 0, the top cycle space) as matrix columns,
     rows keyed by facet basis index.  Each column is the RREF kernel
     vector times the lcm of its denominators, so every entry is an int."""
-    key = ("rel_kernel", c.index_form, s, field.label)
-    cached = _cached(key)
-    if cached is not None:
-        return cached
-    before = _field_dependence()
     top, ridges, cols = _top_star(c, s)
     k = kernel_basis(top.submatrix(ridges, cols), field)
     den = [1] * k.ncols
@@ -274,24 +274,18 @@ def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
             den[j] = lcm(den[j], v.denominator)
     rows = {cols[i]: {j: v.numerator * (den[j] // v.denominator)
                       for j, v in row.items()} for i, row in k.rows.items()}
-    return _store(key, Matrix._of_rows(top.ncols, k.ncols, rows),
-                  _field_dependence() != before)
+    return Matrix._of_rows(top.ncols, k.ncols, rows)
 
 
+@_memo("nullity")
 def _target_nullity(c: Complex, t: int, field: CoefficientField) -> tuple:
     """The basis indices of the facets containing the face with vertex
     bitmask t, and the dimension of the relative top cycle space there:
     the number of those facets minus the rank of the quotient complex's
     top boundary.  That rank is of whole rows of the top boundary: a ridge
     containing tau has all its cofaces among the facets containing tau."""
-    key = ("nullity", c.index_form, t, field.label)
-    cached = _cached(key)
-    if cached is not None:
-        return cached
-    before = _field_dependence()
     top, ridges, cols = _top_star(c, t)
-    z_dim = len(cols) - rank(top.take_rows(ridges), field)
-    return _store(key, (cols, z_dim), _field_dependence() != before)
+    return cols, len(cols) - rank(top.take_rows(ridges), field)
 
 
 def _restriction_surjective(c: Complex, s: int, t: int,
@@ -374,7 +368,7 @@ def save_betti_cache(path, complexes=None, held=None) -> None:
             bv = bv.value
         for facets in (wanted.get(key[1], ()) if complexes is not None
                        else (key[1],)):
-            entries[facets, key[2]] = bv
+            entries[facets, key[2].label] = bv
     if complexes is not None:
         held = held or {}
         if entries.keys() <= held.keys() and os.path.exists(path):
@@ -435,7 +429,8 @@ def load_betti_cache(path, held=None) -> int:
             loaded[facets, label] = bv
         else:
             # a vector from a file: nothing shows it holds for other fields
-            loaded[facets, label] = _store(("betti", index, label), bv, True)
+            _store(("betti", index, field), _FieldDependent(bv))
+            loaded[facets, label] = bv
     if held is not None:
         held.update(loaded)
     return len(loaded)

@@ -7,24 +7,24 @@ stored as the rows the elimination uses, {row: {column: value}}, so
 take_rows shares them and integer rows reach the elimination uncopied;
 the elimination never mutates them.
 
-One sparse elimination routine serves rank, rref and kernel_basis.  It
-works on rows stored as {column: int}.  It first eliminates over the
-integers, pivoting only on entries 1 and -1.  Those row operations are
-unimodular and leave unit pivots, so when every pivot is a unit the rank
-and the integral RREF hold over Q and over every F_p at once (Dumas,
-Saunders and Villard, JSC 2001, reduce homology boundary matrices this
-way first); over F_p the result is read mod p.  A matrix that is not
+One sparse elimination routine serves rank and kernel_basis.  It works
+on rows stored as {column: int}.  It first eliminates over the integers,
+pivoting only on entries 1 and -1.  Those row operations are unimodular
+and leave unit pivots, so when every pivot is a unit the rank and the
+integral RREF hold over Q and over every F_p at once (Dumas, Saunders
+and Villard, JSC 2001, reduce homology boundary matrices this way
+first); over F_p the result is read mod p.  A matrix that is not
 integral, or needs a pivot that is not a unit, falls back to elimination
 over its field.  Over Q each row is scaled to integers and reduced
 fraction-free (row = b*row - a*pivot), and every new row is divided by
 the gcd of its entries, which keeps the integers small.  Over F_p the
 entries are ints mod p and each pivot row is scaled to a leading 1.
-rank stops after forward elimination; rref and kernel_basis also
-back-substitute, and only their output turns into Fractions.  The reduced
-row echelon form is unique, so results do not depend on the order rows
-are eliminated in or on the path taken.  rank skips elimination on a
-matrix with at most one row or one column: its rank is 1 exactly when
-some entry is non-zero in the field.
+rank stops after forward elimination; kernel_basis also back-substitutes
+to the RREF (:func:`_rref_rows`), and only its output turns into
+Fractions.  The reduced row echelon form is unique, so results do not
+depend on the order rows are eliminated in or on the path taken.  rank
+skips elimination on a matrix with at most one row or one column: its
+rank is 1 exactly when some entry is non-zero in the field.
 
 Every result that could differ between fields (a fallback, or a thin
 matrix with no entry 1 or -1) moves a per-thread counter,
@@ -407,19 +407,6 @@ def _rref_rows(m: Matrix, field: CoefficientField) -> dict:
             d = row[lead]
             rows[lead] = {j: Fraction(v, d) for j, v in row.items()}
     return rows
-
-
-def rref(m: Matrix, field: CoefficientField):
-    """Reduced row echelon form over the field.
-
-    Returns:
-        (pivots, R): the pivot column indices in increasing order and the
-        (unique) reduced matrix, with Fraction entries over Q.
-    """
-    rows = _rref_rows(m, field)
-    pivots = sorted(rows)
-    return pivots, Matrix._of_rows(
-        m.nrows, m.ncols, {i: rows[lead] for i, lead in enumerate(pivots)})
 
 
 def rank(m: Matrix, field: CoefficientField) -> int:

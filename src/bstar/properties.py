@@ -9,8 +9,9 @@ always the first violation in that order.
 
 The seven predicates (Cohen-Macaulay, Buchsbaum, doubly Buchsbaum,
 Buchsbaum-star, m-CM, m-Buchsbaum-star, homology manifold) memoise their
-reports in the homology cache, keyed by the index form of the complex
-(see :mod:`bstar.homology`), with witnesses stored as vertex positions.
+verdicts through the homology memo, one kind per predicate, keyed by the
+index form of the complex and the arguments (see :mod:`bstar.homology`),
+with witnesses stored as vertex positions.
 That is exact: an order-preserving relabelling keeps the vertex order, the
 (dimension, lexicographic) face order and the order of the deleted vertex
 subsets, so the first violation maps position for position.  Relabelled
@@ -30,8 +31,8 @@ import functools
 import itertools
 
 from .complexes import Complex, NotPureError, Record, build, label_key
-from .homology import _cached, _store, reduced_betti, top_restriction_surjective
-from .linalg import CoefficientField, InvariantError, _field_dependence
+from .homology import _memo, reduced_betti, top_restriction_surjective
+from .linalg import CoefficientField, InvariantError
 
 
 class ColoringError(Exception):
@@ -159,27 +160,22 @@ def _map_witness(w: Witness | None, image) -> Witness | None:
 
 
 def _memoised(prop: str):
-    """Memoise a predicate ``(c[, m], field)`` in the homology cache under
-    ``("report", prop, index form, field label[, m])``.  The entry is the
-    verdict and the witness with vertices as positions in ``c.vertices``,
-    so relabelled complexes share it; the report returned has the witness
-    in the labels of the complex asked about.  A report whose computation
-    depended on the field is stored marked, as homology entries are."""
+    """Memoise a predicate ``(c[, m], field)`` through ``_memo(prop)`` of
+    :mod:`bstar.homology`.  The entry is the verdict and the witness with
+    vertices as positions in ``c.vertices``, so relabelled complexes share
+    it; the report returned has the witness in the labels of the complex
+    asked about."""
     def decorate(compute):
+        @_memo(prop)
+        def positioned(c: Complex, *args) -> tuple:
+            report = compute(c, *args)
+            return report.verdict, _map_witness(report.witness,
+                                                c._positions().__getitem__)
+
         @functools.wraps(compute)
         def predicate(c: Complex, *args) -> PropertyReport:
-            *m, field = args
-            key = ("report", prop, c.index_form, field.label, *m)
-            found = _cached(key)
-            if found is None:
-                before = _field_dependence()
-                report = compute(c, *args)
-                position = c._positions().__getitem__
-                found = _store(key, (report.verdict,
-                                     _map_witness(report.witness, position)),
-                               _field_dependence() != before)
-            verdict, witness = found
-            return _report(prop, field, verdict,
+            verdict, witness = positioned(c, *args)
+            return _report(prop, args[-1], verdict,
                            _map_witness(witness, c.vertices.__getitem__))
         return predicate
     return decorate

@@ -363,7 +363,7 @@ def _suite_stanley(fields, seed, max_n):
                 sums[size] += hs[size]
         cases.append(_case(cid, "rank_selection_h_identity", "-",
                            list(h), sums))
-    return cases, ()
+    return cases
 
 
 def _suite_rank_selection(fields, seed, max_n):
@@ -377,7 +377,7 @@ def _suite_rank_selection(fields, seed, max_n):
                 rep = is_buchsbaum_star(sub, f)
                 cases.append(_case(f"{cid}|S={list(s)}", "buchsbaum_star",
                                    f.label, True, rep.verdict, rep.witness))
-    return cases, ()
+    return cases
 
 
 def _suite_m_rank_selection(fields, seed, max_n):
@@ -389,7 +389,7 @@ def _suite_m_rank_selection(fields, seed, max_n):
             rep = is_m_buchsbaum_star(sub, 2, f)
             cases.append(_case(f"P(3,3)|S={list(s)}|m=2", "m_buchsbaum_star",
                                f.label, True, rep.verdict, rep.witness))
-    return cases, ()
+    return cases
 
 
 def _suite_balanced_lbt(fields, seed, max_n):
@@ -423,7 +423,7 @@ def _suite_balanced_lbt(fields, seed, max_n):
             cases.append(_case(f"{cid}|f>=stacked", "f_vector_bound", "-",
                                True, poly_geq(f_vector(cx),
                                               _stacked_f_formula(n, d))))
-    return cases, ()
+    return cases
 
 
 def _suite_h3_bound(fields, seed, max_n):
@@ -434,7 +434,7 @@ def _suite_h3_bound(fields, seed, max_n):
         lhs, rhs = d * h[3], comb(d, 3) * h[1]
         cases.append(_case(f"{cid}|d*h3>=C(d,3)*h1", "lower_bound", "-",
                            True, lhs >= rhs, f"{lhs} vs {rhs}"))
-    return cases, ()
+    return cases
 
 
 def _suite_swartz(fields, seed, max_n):
@@ -449,7 +449,7 @@ def _suite_swartz(fields, seed, max_n):
                          for j in range(1, d + 1))
         cases.append(_case(cid, "short_h_identity", "-",
                            list(expected), list(short)))
-    return cases, ()
+    return cases
 
 
 def _suite_flag_bound(fields, seed, max_n):
@@ -486,7 +486,7 @@ def _suite_flag_bound(fields, seed, max_n):
                        "-", True,
                        hexsus.complex.n_vertices
                        != _entry("octahedron").complex.n_vertices))
-    return cases, ()
+    return cases
 
 
 def _suite_euler(fields, seed, max_n):
@@ -501,7 +501,7 @@ def _suite_euler(fields, seed, max_n):
             betti = reduced_betti(cx, f)
             cases.append(_case(f"{cid}|chi_consistency", "euler_from_betti",
                                f.label, chi, betti.chi_reduced()))
-    return cases, ()
+    return cases
 
 
 def _suite_orientability(fields, seed, max_n):
@@ -524,7 +524,7 @@ def _suite_orientability(fields, seed, max_n):
                   and revalidate_witness(rp2, rep, f))
             cases.append(_case(f"rp2_min|witness_vertex", "witness",
                                f.label, True, ok, w))
-    return cases, ()
+    return cases
 
 
 def _suite_lemma_oracle(fields, seed, max_n):
@@ -550,7 +550,7 @@ def _suite_lemma_oracle(fields, seed, max_n):
         cid, cx = item
         return _for_every_field(fields, lambda f: case(cid, cx, f))
 
-    return _dealt(inputs, work, lambda item: _face_count(item[1])), ()
+    return _dealt(inputs, work, lambda item: _face_count(item[1]))
 
 
 def _suite_hierarchy(fields, seed, max_n):
@@ -594,7 +594,7 @@ def _suite_hierarchy(fields, seed, max_n):
     def work(entry):
         return _for_every_field(fields, lambda f: cases_over(entry, f))
 
-    return _dealt(corpus(), work, lambda entry: _face_count(entry.complex)), ()
+    return _dealt(corpus(), work, lambda entry: _face_count(entry.complex))
 
 
 _SUITES = {
@@ -631,7 +631,7 @@ def run_suite(name: str, fields=None, seed: int = 0,
     if fields is None:
         fields = (GF2, QQ, GF3) if name == "orientability-rp2" else DEFAULT_FIELDS
     start = time.perf_counter()
-    cases, notes = func(tuple(fields), seed, max_n)
+    cases = func(tuple(fields), seed, max_n)
     duration = time.perf_counter() - start
     cases = sorted(cases, key=lambda c: (c.case_id, c.prop, c.field))
     return SuiteReport(
@@ -643,7 +643,7 @@ def run_suite(name: str, fields=None, seed: int = 0,
         passed=all(c.passed for c in cases),
         duration_s=duration,
         cases=cases,
-        notes=tuple(notes),
+        notes=(),
     )
 
 

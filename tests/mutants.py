@@ -1,0 +1,144 @@
+"""Re-runnable mutation checks, kept out of the tier-1 run.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (file under src/bstar, an exact snippet of that
+file, its replacement, the ids of the tests that must fail).  For each
+entry the script copies src/ and tests/ to a temporary directory, replaces
+the snippet, which must occur exactly once, and runs the named tests on
+the copy.  The mutant is killed when every named test fails.  First the
+named tests run on an unpatched copy, where every one must pass, so that a
+kill shows the mutation and not a broken test.
+
+Prints one line per mutant and exits 1 if a mutant survives, a snippet no
+longer matches or a named test fails unpatched.  It needs only the
+standard library and pytest (and the tests' own dependencies).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+HOMOLOGY = "tests/test_homology.py::"
+PROPERTIES = "tests/test_properties.py::"
+SUITES = "tests/test_suites.py::"
+
+MUTANTS = {
+    "memo returns a marked value without moving the counter": (
+        "homology.py",
+        """            if type(value) is _FieldDependent:
+                _depends_on_field()
+                return value.value""",
+        """            if type(value) is _FieldDependent:
+                return value.value""",
+        (HOMOLOGY + "test_entries_that_depended_on_the_field_are_recorded",
+         HOMOLOGY + "test_threads_never_hide_a_field_dependent_entry",
+         PROPERTIES + "test_reports_that_depended_on_the_field_are_recorded",
+         PROPERTIES
+         + "test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only",
+         SUITES + "test_suite_reports_are_byte_identical"),
+    ),
+    "memo stores every value unmarked": (
+        "homology.py",
+        """                value = _store(key, value if _field_dependence() == before
+                               else _FieldDependent(value))""",
+        """                value = _store(key, value)""",
+        (HOMOLOGY + "test_entries_that_depended_on_the_field_are_recorded",
+         HOMOLOGY + "test_the_record_leaves_with_evicted_entries",
+         HOMOLOGY + "test_threads_never_hide_a_field_dependent_entry",
+         PROPERTIES + "test_reports_that_depended_on_the_field_are_recorded",
+         PROPERTIES
+         + "test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only",
+         SUITES + "test_suite_reports_are_byte_identical"),
+    ),
+    "every field copies the first field's cases": (
+        "suites.py",
+        """    if _field_dependence() != before:
+        return first + [case for f in fields[1:] for case in cases_over(f)]""",
+        """    if False:
+        return first + [case for f in fields[1:] for case in cases_over(f)]""",
+        (SUITES + "test_suite_reports_are_byte_identical",
+         SUITES + "test_torsion_complexes_are_computed_per_field",
+         SUITES + "test_three_fields_give_the_cases_of_three_single_field_runs"
+         "[hierarchy]"),
+    ),
+    "the report memo stores witnesses in labels": (
+        "properties.py",
+        """            return report.verdict, _map_witness(report.witness,
+                                                c._positions().__getitem__)""",
+        """            return report.verdict, report.witness""",
+        (PROPERTIES + "test_shared_cm_witness_is_in_the_queried_labels",
+         PROPERTIES + "test_shared_nested_witnesses_are_in_the_queried_labels",
+         PROPERTIES + "test_buchsbaum"),
+    ),
+    "a forked child leaves through sys.exit": (
+        "suites.py",
+        """    finally:
+        os._exit(0)""",
+        """    finally:
+        __import__("sys").exit(0)""",
+        (SUITES + "test_verify_all_prints_each_report_once",),
+    ),
+}
+
+
+def _failed(workdir: str, ids) -> set:
+    """The ids among ``ids`` that fail when run on the copy in workdir."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(workdir, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         *ids], cwd=workdir, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True, timeout=900)
+    failed = {line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))}
+    if run.returncode not in (0, 1) or (run.returncode == 1) != bool(failed):
+        raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}")
+    return failed & set(ids)
+
+
+def _copy(workdir: str) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(workdir, part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), workdir)
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as base:
+        clean = os.path.join(base, "clean")
+        _copy(clean)
+        ids = sorted({i for *_, tests in MUTANTS.values() for i in tests})
+        broken = _failed(clean, ids)
+        if broken:
+            print(f"fail unpatched: {sorted(broken)}")
+            return 1
+        for k, (name, (file, old, new, tests)) in enumerate(MUTANTS.items()):
+            workdir = os.path.join(base, str(k))
+            _copy(workdir)
+            path = os.path.join(workdir, "src", "bstar", file)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if text.count(old) != 1:
+                print(f"NO MATCH  {name}: the snippet occurs "
+                      f"{text.count(old)} times in {file}")
+                bad += 1
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(old, new))
+            survived = sorted(set(tests) - _failed(workdir, tests))
+            print(f"{'SURVIVED' if survived else 'killed  '}  {name}"
+                  + "".join(f"\n    passed: {t}" for t in survived))
+            bad += bool(survived)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

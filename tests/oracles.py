@@ -181,6 +181,22 @@ TORSION_FACETS = (wrapped_disk(3, "a") + wrapped_disk(3, "b")
 TORSION_BETTI = {None: (0, 2, 0, 0), 2: (0, 2, 1, 1), 3: (0, 2, 2, 2)}
 
 
+def barycentric_subdivision(facets):
+    """The facets of the barycentric subdivision sd(Delta) of the complex
+    with these facets, and its colouring as {vertex: colour}.  sd(Delta)
+    has a vertex per non-empty face of Delta, here the face's index in
+    (size, sorted) order, and a facet per maximal chain of faces under
+    inclusion.  Colouring each vertex by the size of its face makes
+    sd(Delta) balanced; it is homeomorphic to Delta."""
+    faces = sorted((f for f in downward_closure(facets) if f),
+                   key=lambda f: (len(f), [_key(v) for v in f]))
+    index = {frozenset(f): i for i, f in enumerate(faces)}
+    chains = {tuple(sorted(index[frozenset(order[:k])]
+                           for k in range(1, len(order) + 1)))
+              for facet in facets for order in itertools.permutations(facet)}
+    return sorted(chains), {i: len(f) for i, f in enumerate(faces)}
+
+
 def oracle_cm_violation(facets, p=None):
     """The first face sigma, in (dimension, lexicographic) order, whose
     link has non-zero reduced homology below the link's dimension, with

@@ -308,6 +308,8 @@ def test_memoization_returns_identical_object(octahedron):
     a = reduced_betti(octahedron, QQ)
     b = reduced_betti(octahedron, QQ)
     assert a is b
+    # the field as a keyword shares the positional call's entry
+    assert reduced_betti(octahedron, field=GF2) is reduced_betti(octahedron, GF2)
 
 
 def test_cache_save_load_roundtrip(tmp_path, octahedron):
@@ -427,7 +429,7 @@ def test_the_record_leaves_with_evicted_entries(monkeypatch, rp2):
     monkeypatch.setattr(homology, "CACHE_LIMIT", 8)
     clear_caches()
     reduced_betti(rp2, QQ)
-    key = ("betti", rp2.index_form, "Q")
+    key = ("betti", rp2.index_form, QQ)  # the interned field, not its label
     assert type(homology._cache[key]) is homology._FieldDependent
     for n in range(3, 12):
         reduced_betti(simplex(n), QQ)

@@ -436,7 +436,10 @@ def test_relabelled_cross_polytope_stores_no_new_report_entry(pred):
     clear_caches()
     assert pred(c, QQ).verdict
     stored = set(_cache)
-    assert any(key[0] == "report" for key in stored)
+    # a report is keyed (predicate, index form[, m], field)
+    assert any(key[0] in ("buchsbaum", "buchsbaum_star", "m_cm")
+               and key[1] == c.index_form and key[-1] is QQ
+               for key in stored)
     moved = c.relabel({v: 100 + i for i, v in enumerate(c.vertices)})
     assert pred(moved, QQ) == pred(c, QQ)
     assert set(_cache) == stored
@@ -518,4 +521,39 @@ def test_reports_that_depended_on_the_field_are_recorded(octahedron, rp2):
             report = is_buchsbaum_star(c, QQ)
             assert (linalg._field_dependence() > before) is dependent
         assert report.verdict is not dependent
+    clear_caches()
+
+
+def test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only(rp2):
+    # sd(rp2_min) is balanced, coloured by face size, and as field-dependent
+    # as rp2_min: the rank-selection theorem and the balanced bound meet a
+    # hypothesis that holds over F2 alone.  Every verdict is computed, cold
+    # and then from the memo, where the marked entries move the record
+    import itertools
+    from math import comb
+    from bstar import GF3, f_vector, h_vector
+    from oracles import barycentric_subdivision
+    facets, colors = barycentric_subdivision(rp2.facets)
+    sd, coloring = build(facets), Coloring(colors, 3)
+    coloring.validate(sd)
+    h = h_vector(sd)
+    assert f_vector(sd) == (1, 31, 90, 60) and h == (1, 28, 31, 0)
+    assert 3 * h[2] >= comb(3, 2) * h[1]
+    selections = [s for k in (1, 2)
+                  for s in itertools.combinations((1, 2, 3), k)]
+    clear_caches()
+    reports = []
+    for _ in ("cold", "warm"):
+        for field, hypothesis in ((QQ, False), (GF2, True), (GF3, False)):
+            before = linalg._field_dependence()
+            rep = is_buchsbaum_star(sd, field)
+            assert linalg._field_dependence() > before, field
+            assert rep.verdict is hypothesis, field
+            assert hypothesis or revalidate_witness(sd, rep, field)
+            reports.append(rep)
+            for s in selections:
+                sub = is_buchsbaum_star(rank_selected(sd, coloring, s), field)
+                assert sub.verdict, (field, s, sub)
+                reports.append(sub)
+    assert reports[:len(reports) // 2] == reports[len(reports) // 2:]
     clear_caches()
