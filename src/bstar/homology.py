@@ -28,9 +28,10 @@ interned :class:`CoefficientField` itself.  The kinds are:
   containing tau, shared by every field; only relative Betti vectors
   use it;
 - ``rel_kernel`` ``(c, sigma, field)``: for the source face sigma of a
-  restriction test, a basis of the top cycles of the quotient complex,
-  its rows keyed by facet basis index and its entries ints (at sigma
-  empty, the top cycle space);
+  restriction test, a basis of the top cycles of the quotient complex
+  (at sigma empty, the top cycle space): the int columns of
+  :func:`bstar.linalg.kernel_basis`, its rows keyed by facet basis
+  index;
 - ``nullity`` ``(c, tau, field)``: for the target face tau of a
   restriction test, the basis indices of the facets containing tau and
   the dimension of the quotient complex's top cycle space, from one rank;
@@ -70,7 +71,6 @@ import os
 import threading
 from contextlib import suppress
 from itertools import islice
-from math import lcm
 
 from .complexes import Complex, NotPureError, Record, index_faces
 from .linalg import (CoefficientField, InvariantError, Matrix,
@@ -263,18 +263,12 @@ def _top_star(c: Complex, t: int) -> tuple:
 @_memo("rel_kernel")
 def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
     """A basis of the top cycles of the quotient complex at the face with
-    vertex bitmask s (at s = 0, the top cycle space) as matrix columns,
-    rows keyed by facet basis index.  Each column is the RREF kernel
-    vector times the lcm of its denominators, so every entry is an int."""
+    vertex bitmask s (at s = 0, the top cycle space) as the int columns of
+    :func:`kernel_basis`, rows keyed by facet basis index."""
     top, ridges, cols = _top_star(c, s)
     k = kernel_basis(top.submatrix(ridges, cols), field)
-    den = [1] * k.ncols
-    for row in k.rows.values():
-        for j, v in row.items():
-            den[j] = lcm(den[j], v.denominator)
-    rows = {cols[i]: {j: v.numerator * (den[j] // v.denominator)
-                      for j, v in row.items()} for i, row in k.rows.items()}
-    return Matrix._of_rows(top.ncols, k.ncols, rows)
+    return Matrix._of_rows(top.ncols, k.ncols,
+                           {cols[i]: row for i, row in k.rows.items()})
 
 
 @_memo("nullity")

@@ -7,24 +7,24 @@ stored as the rows the elimination uses, {row: {column: value}}, so
 take_rows shares them and integer rows reach the elimination uncopied;
 the elimination never mutates them.
 
-One sparse elimination routine serves rank and kernel_basis.  It works
-on rows stored as {column: int}.  It first eliminates over the integers,
-pivoting only on entries 1 and -1.  Those row operations are unimodular
-and leave unit pivots, so when every pivot is a unit the rank and the
-integral RREF hold over Q and over every F_p at once (Dumas, Saunders
+One sparse elimination routine, :func:`_eliminated`, serves rank and
+kernel_basis.  It works on rows stored as {column: int} over a modulus.
+With modulus 0 it eliminates over the integers, pivoting only on entries
+1 and -1; this runs first.  Those row operations are unimodular and leave
+unit pivots, so when every pivot is a unit the rank and the integral
+RREF hold over Q and, read mod p, over every F_p at once (Dumas, Saunders
 and Villard, JSC 2001, reduce homology boundary matrices this way
-first); over F_p the result is read mod p.  A matrix that is not
-integral, or needs a pivot that is not a unit, falls back to elimination
-over its field.  Over Q each row is scaled to integers and reduced
-fraction-free (row = b*row - a*pivot), and every new row is divided by
-the gcd of its entries, which keeps the integers small.  Over F_p the
-entries are ints mod p and each pivot row is scaled to a leading 1.
-rank stops after forward elimination; kernel_basis also back-substitutes
-to the RREF (:func:`_rref_rows`), and only its output turns into
-Fractions.  The reduced row echelon form is unique, so results do not
-depend on the order rows are eliminated in or on the path taken.  rank
-skips elimination on a matrix with at most one row or one column: its
-rank is 1 exactly when some entry is non-zero in the field.
+first).  A matrix that is not integral, or needs a pivot that is not a
+unit, falls back to elimination over its field.  Over Q each row is
+scaled to integers and reduced fraction-free (row = b*row - a*pivot),
+and every new row is divided by the gcd of its entries, which keeps the
+integers small.  Over F_p the entries are ints mod p and each pivot row
+is scaled to a leading 1.  rank stops after forward elimination;
+kernel_basis also back-substitutes, and its columns are ints on every
+path.  The reduced row echelon form is unique, so results do not depend
+on the order rows are eliminated in or on the path taken.  rank skips
+elimination on a matrix with at most one row or one column: its rank is
+1 exactly when some entry is non-zero in the field.
 
 Every result that could differ between fields (a fallback, or a thin
 matrix with no entry 1 or -1) moves a per-thread counter,
@@ -320,67 +320,44 @@ def _eliminate(row: dict, prow: dict, col: int, p: int | None) -> dict:
     return out
 
 
-def _unit_echelon(rows: dict, reduced: bool) -> dict | None:
-    """Echelon rows over the integers pivoting only on entries 1 and -1,
-    keyed by pivot column, each pivot entry 1; None when a row holds a
-    non-int or a pivot would not be a unit.  The row operations are
-    unimodular, so these rows read mod p are the echelon rows over F_p
-    and, as they are, over Q.  With reduced=True they form the RREF."""
+def _echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
+    """Echelon rows of m keyed by pivot column: {pivot: {col: int}}.
+
+    Each row's smallest column is its pivot.  With reduced=True every row
+    is also zero in the other pivot columns, so dividing each row by its
+    pivot entry gives the RREF.  The rows of m are never mutated (matrices
+    share them): every changed row is a new dict, and a pivot row may be
+    one of m's own rows.  Unit pivots over the integers come first, and
+    their rows hold over Q and, read mod p, over F_p; the elimination over
+    the field is the fallback, and it moves the field-dependence counter.
+    """
+    pivots = _eliminated(m.rows, 0, reduced)
+    if pivots is None:
+        _depends_on_field()
+        pivots = _eliminated(_int_rows(m.rows, field), field.p, reduced)
+    return pivots
+
+
+def _eliminated(rows: dict, p: int | None, reduced: bool) -> dict | None:
+    """Echelon rows of int rows over the modulus p: with p = 0 over the
+    integers, pivoting only on entries 1 and -1, and None when a row holds
+    a non-int or a pivot would not be a unit; fraction-free over Q with p
+    None; over F_p with p prime.  Every pivot entry is 1 except over Q."""
     pivots: dict = {}
     for row in rows.values():
-        if not _INT.issuperset(map(type, row.values())):
+        if p == 0 and not _INT.issuperset(map(type, row.values())):
             return None
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
                 a = row[lead]
-                if a == -1:
+                if p == 0 and a != 1:
+                    if a != -1:
+                        return None
                     row = {j: -v for j, v in row.items()}
-                elif a != 1:
-                    return None
-                pivots[lead] = row
-                break
-            row = _eliminate(row, prow, lead, 0)
-    if reduced:
-        _back_substitute(pivots, 0)
-    return pivots
-
-
-def _echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
-    """Echelon rows of m keyed by pivot column: {pivot: {col: int}}.
-
-    Each row's smallest column is its pivot; over F_p the pivot entry is 1
-    and, with reduced=True, every entry is a residue in [1, p).  With
-    reduced=True every row is also zero in the other pivot columns, so
-    dividing each row by its pivot entry gives the RREF.  The rows of m
-    are never mutated (matrices share them): every changed row is a new
-    dict, and a pivot row may be one of m's own rows.  Unit pivots over
-    the integers come first; the elimination over the field is the
-    fallback, and it moves the field-dependence counter.
-    """
-    pivots = _unit_echelon(m.rows, reduced)
-    if pivots is None:
-        _depends_on_field()
-        return _field_echelon(m, field, reduced)
-    p = field.p
-    if p is not None and reduced:
-        pivots = {lead: {j: r for j, v in row.items() if (r := v % p)}
-                  for lead, row in pivots.items()}
-    return pivots
-
-
-def _field_echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
-    """The echelon rows of :func:`_echelon`, eliminating over the field."""
-    p = field.p
-    pivots: dict = {}
-    for row in _int_rows(m.rows, field).values():
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                if p is not None and row[lead] != 1:
-                    inv = pow(row[lead], -1, p)
+                elif p and a != 1:
+                    inv = pow(a, -1, p)
                     row = {j: v * inv % p for j, v in row.items()}
                 pivots[lead] = row
                 break
@@ -397,16 +374,6 @@ def _back_substitute(pivots: dict, p: int | None) -> None:
         for col in [j for j in row if j != lead and j in pivots]:
             row = _eliminate(row, pivots[col], col, p)
         pivots[lead] = row
-
-
-def _rref_rows(m: Matrix, field: CoefficientField) -> dict:
-    """{pivot: RREF row} with Fraction entries over Q, ints over F_p."""
-    rows = _echelon(m, field, reduced=True)
-    if field.p is None:
-        for lead, row in rows.items():
-            d = row[lead]
-            rows[lead] = {j: Fraction(v, d) for j, v in row.items()}
-    return rows
 
 
 def rank(m: Matrix, field: CoefficientField) -> int:
@@ -426,23 +393,36 @@ def rank(m: Matrix, field: CoefficientField) -> int:
 
 
 def kernel_basis(m: Matrix, field: CoefficientField) -> Matrix:
-    """Matrix whose columns form the canonical RREF null-space basis.
+    """Matrix of int columns spanning the null space of m over the field.
 
-    Column k is the solution that is 1 at the k-th free (non-pivot)
-    column and 0 at the others.  Raises InvariantError unless
-    rank(m) + cols(result) == cols(m) and m*result is zero over the field.
+    Column k is the RREF null-space solution that is 1 at the k-th free
+    (non-pivot) column and 0 at the others; over Q times the lcm of its
+    denominators, over F_p read mod p.  When unit pivots finish it is that
+    solution over the integers, for every field.  Raises InvariantError
+    unless rank(m) + cols(result) == cols(m) and m*result is zero over the
+    field.
     """
-    rows = _rref_rows(m, field)
+    rows = _echelon(m, field, reduced=True)
     free = [c for c in range(m.ncols) if c not in rows]
     position = {c: k for k, c in enumerate(free)}
-    p = field.p
-    one = Fraction(1) if p is None else 1
-    out = {c: {k: one} for k, c in enumerate(free)}
+    # Only fraction-free rows over Q have pivots other than 1.  The columns
+    # scaled by the lcm of the pivots, then divided by their contents, are
+    # the primitive solutions positive at their free column: the RREF
+    # solutions times the lcm of their denominators.
+    scale = lcm(*(row[lead] for lead, row in rows.items()))
+    out = {c: {k: scale} for k, c in enumerate(free)}
     for lead, row in rows.items():
-        solved = {position[j]: -v if p is None else -v % p
-                  for j, v in row.items() if j != lead}
+        ratio = scale // row[lead]
+        solved = {position[j]: -v * ratio for j, v in row.items() if j != lead}
         if solved:
             out[lead] = solved
+    if scale != 1:
+        content = [0] * len(free)
+        for row in out.values():
+            for k, v in row.items():
+                content[k] = gcd(content[k], v)
+        out = {i: {k: v // content[k] for k, v in row.items()}
+               for i, row in out.items()}
     result = Matrix._of_rows(m.ncols, len(free), out)
     if len(rows) + result.ncols != m.ncols:
         raise InvariantError(

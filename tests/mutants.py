@@ -26,6 +26,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 HOMOLOGY = "tests/test_homology.py::"
+LINALG = "tests/test_linalg.py::"
 PROPERTIES = "tests/test_properties.py::"
 SUITES = "tests/test_suites.py::"
 
@@ -83,7 +84,32 @@ MUTANTS = {
         os._exit(0)""",
         """    finally:
         __import__("sys").exit(0)""",
-        (SUITES + "test_verify_all_prints_each_report_once",),
+        (SUITES + "test_verify_all_prints_each_report_once",
+         SUITES + "test_forked_and_serial_runs_give_identical_reports"),
+    ),
+    "no thread guard before the fork": (
+        "suites.py",
+        """    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:""",
+        """    if workers < 2 or not hasattr(os, "fork"):""",
+        (SUITES + "test_forked_and_serial_runs_give_identical_reports",),
+    ),
+    "the CM fast path with its degree bound off by one": (
+        "properties.py",
+        """    if (not any(betti[i] for i in range(-1, c.dim))""",
+        """    if (not any(betti[i] for i in range(-1, c.dim - 1))""",
+        (PROPERTIES + "test_cm_disconnected_fails_with_witness",
+         PROPERTIES + "test_cm_verdict_and_witness_match_the_plain_scan"),
+    ),
+    "kernel_basis reduces F_p entries mod p": (
+        "linalg.py",
+        """        solved = {position[j]: -v * ratio for j, v in row.items() if j != lead}""",
+        """        solved = {position[j]: -v * ratio % field.p if field.p else -v * ratio
+                  for j, v in row.items() if j != lead}""",
+        (LINALG + "test_rank_and_kernel_match_sympy_on_both_paths",
+         PROPERTIES
+         + "test_isolated_points_are_buchsbaum_star_over_every_field_alike",
+         PROPERTIES
+         + "test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only"),
     ),
 }
 

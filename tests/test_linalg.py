@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bstar import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
                    Matrix, ShapeError, corpus, kernel_basis, rank)
 from bstar import homology, linalg
-from bstar.linalg import _rref_rows, product_is_zero
+from bstar.linalg import _int_rows, product_is_zero
 
 from oracles import (dense_rows, identity, oracle_kernel_basis, oracle_rank,
                      oracle_rref, span_contains, span_dim, sympy_kernel_basis,
@@ -23,6 +23,41 @@ TRIANGLE_D1 = Matrix.from_rows([
     [1, 0, -1],
     [0, 1, 1],
 ])
+
+def _divided(rows, p):
+    """Echelon rows divided by their pivot entries: Fractions over Q (p
+    None), residues in [1, p) over F_p."""
+    if p is None:
+        return {lead: {j: Fraction(v, row[lead]) for j, v in row.items()}
+                for lead, row in rows.items()}
+    out = {}
+    for lead, row in rows.items():
+        inv = pow(row[lead], -1, p)
+        out[lead] = {j: r for j, v in row.items() if (r := v * inv % p)}
+    return out
+
+
+def _rref(m, field):
+    """{pivot: RREF row} of m over the field, from the echelon rows that
+    kernel_basis reduces."""
+    return _divided(linalg._echelon(m, field, True), field.p)
+
+
+def assert_kernel_is_canonical(k, canonical, p):
+    """k has int entries, and its columns are those of the canonical
+    null-space basis ({(row, col): value}, Fractions over Q, residues over
+    F_p): over Q each times the lcm of its denominators, over F_p mod p."""
+    assert all(type(v) is int for v in k.entries.values())
+    if p is not None:
+        assert {key: r for key, v in k.entries.items() if (r := v % p)} \
+            == canonical
+        return
+    den = {}
+    for (_, col), v in canonical.items():
+        den[col] = lcm(den.get(col, 1), Fraction(v).denominator)
+    assert k.entries == {(i, col): int(v * den[col])
+                         for (i, col), v in canonical.items()}
+
 
 int_matrices = st.lists(
     st.lists(st.integers(-4, 4), min_size=1, max_size=6),
@@ -211,7 +246,7 @@ def test_elimination_leaves_input_rows_unchanged(shape_entries):
     for matrix in (m, m.take_rows(range(nrows - 1, -1, -1))):
         before = {i: (row, dict(row)) for i, row in matrix.rows.items()}
         for field in (QQ, GF2, GF3):
-            for routine in (rank, _rref_rows, kernel_basis):
+            for routine in (rank, _rref, kernel_basis):
                 try:
                     routine(matrix, field)
                 except ZeroDivisionError:  # a denominator vanishes mod p
@@ -227,21 +262,19 @@ def assert_matches_oracle(m, field, p):
     try:
         pivots, reduced = oracle_rref(dense_rows(m), m.ncols, p)
     except ZeroDivisionError:
-        for routine in (rank, _rref_rows, kernel_basis):
+        for routine in (rank, _rref, kernel_basis):
             with pytest.raises(ZeroDivisionError):
                 routine(m, field)
         return
     expected = {pivot: {j: v for j, v in enumerate(row) if v != 0}
                 for pivot, row in zip(pivots, reduced)}
-    got = _rref_rows(m, field)
+    got = _rref(m, field)
     assert sorted(got) == pivots
     assert got == expected
-    element = Fraction if p is None else int
-    assert all(type(v) is element for row in got.values() for v in row.values())
     k = kernel_basis(m, field)
     assert (k.nrows, k.ncols) == (m.ncols, m.ncols - len(pivots))
-    assert k.entries == oracle_kernel_basis(dense_rows(m), m.ncols, p)
-    assert all(type(v) is element for v in k.entries.values())
+    assert_kernel_is_canonical(
+        k, oracle_kernel_basis(dense_rows(m), m.ncols, p), p)
     assert rank(m, field) == len(pivots)
     # Scaling rows by their denominators keeps the rank here, since the
     # oracle found every denominator invertible in the field.
@@ -270,7 +303,7 @@ def test_corpus_boundaries_match_fraction_oracle():
 
 def test_vanishing_denominator_raises_in_prime_field():
     half = Matrix.from_rows([[Fraction(1, 2), 1], [0, 1]])
-    for routine in (rank, _rref_rows, kernel_basis):
+    for routine in (rank, _rref, kernel_basis):
         with pytest.raises(ZeroDivisionError):
             routine(half, GF2)
     # a non-zero entry ahead of the bad one does not end the check
@@ -295,20 +328,22 @@ def test_sparse_and_degenerate_shapes():
         for nrows, ncols in ((0, 3), (3, 0), (0, 0), (2, 3)):
             zero = Matrix(nrows, ncols)
             assert rank(zero, field) == 0
-            assert _rref_rows(zero, field) == {}
+            assert _rref(zero, field) == {}
             assert kernel_basis(zero, field) == Matrix(
                 ncols, ncols, {(j, j): 1 for j in range(ncols)})
 
 
 def _corrupt_each_path(monkeypatch, rows):
-    """Patch the unit-pivot elimination, then the fallback over the field
-    (with unit pivots always failing), to return rows; yield between."""
+    """Patch the elimination to return rows on unit pivots over the
+    integers, then on the fallback over the field (with unit pivots always
+    failing); yield between."""
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_unit_echelon", lambda *args: rows)
+        patch.setattr(linalg, "_eliminated",
+                      lambda _, p, reduced: rows if p == 0 else None)
         yield "unit pivots"
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_unit_echelon", lambda *args: None)
-        patch.setattr(linalg, "_field_echelon", lambda *args: rows)
+        patch.setattr(linalg, "_eliminated",
+                      lambda _, p, reduced: None if p == 0 else rows)
         yield "fallback"
 
 
@@ -336,26 +371,22 @@ small_int_matrices = st.integers(1, 6).flatmap(
                            min_size=1, max_size=6)).map(Matrix.from_rows)
 
 
-def _rref_of(rows, p):
-    """Echelon rows with each row divided by its pivot entry."""
-    if p is not None:
-        return rows
-    return {lead: {j: Fraction(v, row[lead]) for j, v in row.items()}
-            for lead, row in rows.items()}
-
-
 @given(small_int_matrices)
 def test_rank_and_kernel_match_sympy_on_both_paths(m):
     rows = dense_rows(m)
+    kernels = []
     for field, p in FIELDS:
         assert rank(m, field) == oracle_rank(rows, p)
         k = kernel_basis(m, field)
-        assert k.entries == sympy_kernel_basis(rows, m.ncols, p)
-        element = Fraction if p is None else int
-        assert all(type(v) is element for v in k.entries.values())
+        assert_kernel_is_canonical(k, sympy_kernel_basis(rows, m.ncols, p), p)
+        kernels.append(k)
         # the shared elimination gives the RREF of the fallback alone
-        assert _rref_of(linalg._echelon(m, field, True), p) == \
-            _rref_of(linalg._field_echelon(m, field, True), p)
+        fallback = linalg._eliminated(_int_rows(m.rows, field), p, True)
+        assert _divided(linalg._echelon(m, field, True), p) == \
+            _divided(fallback, p)
+    # when unit pivots finish, one int kernel serves every field
+    if linalg._eliminated(m.rows, 0, True) is not None:
+        assert all(k == kernels[0] for k in kernels)
 
 
 def test_fallbacks_move_the_field_dependence_counter():
@@ -411,7 +442,7 @@ def test_product_is_zero_over_fields():
 def test_rref_is_canonical():
     m = Matrix.from_rows([[2, 4], [1, 2]])
     assert oracle_rref(dense_rows(m), m.ncols) == ([0], [[1, 2], [0, 0]])
-    assert _rref_rows(m, QQ) == {0: {0: 1, 1: 2}}
+    assert _rref(m, QQ) == {0: {0: 1, 1: 2}}
 
 
 def test_matmul_and_shape_errors():

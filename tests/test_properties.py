@@ -524,6 +524,20 @@ def test_reports_that_depended_on_the_field_are_recorded(octahedron, rp2):
     clear_caches()
 
 
+def test_isolated_points_are_buchsbaum_star_over_every_field_alike():
+    # the top cycles of three points, x_0 - x_1 and x_0 - x_2, are kept
+    # with the entry -1 over F3 too, not 2, so the rank of each projection
+    # onto one point finds a unit entry and holds over every field
+    from bstar import GF3
+    points = build([(0,), (1,), (2,)])
+    clear_caches()
+    for field in (QQ, GF2, GF3):
+        before = linalg._field_dependence()
+        assert is_buchsbaum_star(points, field).verdict, field
+        assert linalg._field_dependence() == before, field
+    clear_caches()
+
+
 def test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only(rp2):
     # sd(rp2_min) is balanced, coloured by face size, and as field-dependent
     # as rp2_min: the rank-selection theorem and the balanced bound meet a
@@ -552,7 +566,11 @@ def test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only(rp2):
             assert hypothesis or revalidate_witness(sd, rep, field)
             reports.append(rep)
             for s in selections:
+                # their cycles keep entries -1 and 1 over every field, so
+                # no rank on the way depends on it
+                before = linalg._field_dependence()
                 sub = is_buchsbaum_star(rank_selected(sd, coloring, s), field)
+                assert linalg._field_dependence() == before, (field, s)
                 assert sub.verdict, (field, s, sub)
                 reports.append(sub)
     assert reports[:len(reports) // 2] == reports[len(reports) // 2:]

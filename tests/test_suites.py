@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -177,6 +178,21 @@ def _two_cpus(monkeypatch):
                         raising=False)
 
 
+def _reaped(monkeypatch) -> list:
+    """Wrap os.waitpid to collect the wait status of each child it reaps."""
+    real = os.waitpid
+    statuses = []
+
+    def waitpid(pid, options):
+        reaped, status = real(pid, options)
+        if reaped:
+            statuses.append(status)
+        return reaped, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return statuses
+
+
 def _lemma_and_hierarchy_reports():
     out = {}
     for name in ("lemma-oracle", "hierarchy"):
@@ -199,8 +215,10 @@ def test_forked_and_serial_runs_give_identical_reports(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    statuses = _reaped(monkeypatch)
     forked = _lemma_and_hierarchy_reports()
     assert len(forks) == 4
+    assert statuses == [0] * 4  # each child left through os._exit(0)
 
     # With another thread alive the fields run in this process: a fork
     # would raise here.
@@ -236,11 +254,16 @@ def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch,
         return real(cx, tau, field)
 
     monkeypatch.setattr(suites, "relative_betti_vector", fails_in_one_process)
+    statuses = _reaped(monkeypatch)
     clear_caches()
     with pytest.raises(InvariantError, match=f"{failing} fails on purpose"):
         run_suite("lemma-oracle")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # the child left through os._exit(0), unless the failure killed it first
+    assert len(statuses) == 1
+    assert statuses[0] == 0 or (os.WIFSIGNALED(statuses[0]) and
+                                os.WTERMSIG(statuses[0]) == signal.SIGKILL)
 
 
 def _cases(*reports):
