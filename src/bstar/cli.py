@@ -56,32 +56,34 @@ def _write_complex(cf: ComplexFile, out_path) -> None:
         emit(cf, out_path)
 
 
+_FAMILIES = {  # int parameters -> a complex or a (complex, coloring) pair
+    "simplex": simplex, "simplex-boundary": simplex_boundary,
+    "cross-polytope": cross_polytope, "multi-point-join": multi_point_join_colored,
+    "stacked-cross-polytopal-sphere": stacked_cross_polytopal_sphere,
+    "scps": stacked_cross_polytopal_sphere,
+    "skeleton-join-sphere": skeleton_join_sphere}
+
+
 def _cmd_construct(args) -> int:
     family = args.family
     params = args.params
-    coloring = None
     try:
-        ints = [int(p) for p in params if p.lstrip("-").isdigit()]
-        if family == "simplex":
-            cx = simplex(*ints)
-        elif family == "simplex-boundary":
-            cx = simplex_boundary(*ints)
-        elif family == "cross-polytope":
-            cx, coloring = cross_polytope(*ints)
-        elif family == "multi-point-join":
-            cx, coloring = multi_point_join_colored(*ints)
-        elif family in ("stacked-cross-polytopal-sphere", "scps"):
-            cx, coloring = stacked_cross_polytopal_sphere(*ints)
-        elif family == "skeleton-join-sphere":
-            cx = skeleton_join_sphere(*ints)
-        elif family == "named":
-            cx = named(params[0])
-            coloring = fixture(params[0]).coloring
+        if family == "named":
+            if len(params) != 1:
+                raise ConstructionError(f"named takes one fixture name, not {params}")
+            cx, coloring = named(params[0]), fixture(params[0]).coloring
+        elif family in _FAMILIES:
+            try:
+                ints = [int(p) for p in params]
+            except ValueError:
+                raise ConstructionError(
+                    f"{family} takes integer parameters, not {params}") from None
+            built = _FAMILIES[family](*ints)
+            cx, coloring = built if isinstance(built, tuple) else (built, None)
         else:
             print(f"unknown family {family!r}", file=sys.stderr)
             return 2
-    except (TypeError, IndexError, ConstructionError,
-            UnknownFixtureError) as exc:
+    except (TypeError, ConstructionError, UnknownFixtureError) as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return 2
     name = params[0] if family == "named" else f"{family}({','.join(params)})"

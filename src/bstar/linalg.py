@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Matrices carry integer or Fraction entries and are interpreted through a
-CoefficientField at elimination time, so the same matrix can be ranked over
-Q and over any F_p.  There is no floating point anywhere.  A matrix is
-stored as the rows the elimination uses, {row: {column: value}}, so
-take_rows shares them and integer rows reach the elimination uncopied;
-the elimination never mutates them.
+Matrices hold ints only, checked where entries come in (``Matrix`` and
+``Matrix.from_rows``), and are interpreted through a CoefficientField at
+elimination time, so the same matrix can be ranked over Q and over any
+F_p.  A rational matrix has the rank and kernel of its rows scaled to
+integers.  There is no floating point anywhere.  A matrix is stored as
+the rows the elimination uses, {row: {column: int}}, so take_rows shares
+them and they reach the elimination uncopied; the elimination never
+mutates them.
 
 One sparse elimination routine, :func:`_eliminated`, serves rank and
 kernel_basis.  It works on rows stored as {column: int} over a modulus.
@@ -14,17 +16,16 @@ With modulus 0 it eliminates over the integers, pivoting only on entries
 unit pivots, so when every pivot is a unit the rank and the integral
 RREF hold over Q and, read mod p, over every F_p at once (Dumas, Saunders
 and Villard, JSC 2001, reduce homology boundary matrices this way
-first).  A matrix that is not integral, or needs a pivot that is not a
-unit, falls back to elimination over its field.  Over Q each row is
-scaled to integers and reduced fraction-free (row = b*row - a*pivot),
-and every new row is divided by the gcd of its entries, which keeps the
-integers small.  Over F_p the entries are ints mod p and each pivot row
-is scaled to a leading 1.  rank stops after forward elimination;
-kernel_basis also back-substitutes, and its columns are ints on every
-path.  The reduced row echelon form is unique, so results do not depend
-on the order rows are eliminated in or on the path taken.  rank skips
-elimination on a matrix with at most one row or one column: its rank is
-1 exactly when some entry is non-zero in the field.
+first).  A matrix that needs a pivot that is not a unit falls back to
+elimination over its field.  Over Q the rows are reduced fraction-free
+(row = b*row - a*pivot), and every new row is divided by the gcd of its
+entries, which keeps the integers small.  Over F_p the entries are read
+mod p and each pivot row is scaled to a leading 1.  rank stops after
+forward elimination; kernel_basis also back-substitutes, and its columns
+are ints on every path.  The reduced row echelon form is unique, so
+results do not depend on the order rows are eliminated in or on the path
+taken.  rank skips elimination on a matrix with at most one row or one
+column: its rank is 1 exactly when some entry is non-zero in the field.
 
 Every result that could differ between fields (a fallback, or a thin
 matrix with no entry 1 or -1) moves a per-thread counter,
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -93,19 +93,6 @@ class CoefficientField:
     def label(self) -> str:
         return "Q" if self.kind == "rationals" else f"F{self.p}"
 
-    def convert(self, x):
-        """An int or Fraction as a Fraction over Q, an int in [0, p) over F_p."""
-        if self.kind == "rationals":
-            return x if isinstance(x, Fraction) else Fraction(x)
-        p = self.p
-        if isinstance(x, Fraction):
-            den = x.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(
-                    f"denominator of {x} vanishes in F_{p}")
-            return x.numerator * pow(den, -1, p) % p
-        return x % p
-
     def __repr__(self) -> str:
         return f"CoefficientField({self.label})"
 
@@ -143,11 +130,11 @@ class _Entries(Mapping):
 
 
 class Matrix:
-    """Immutable exact matrix stored as its non-zero rows {i: {j: v}}.
+    """Immutable integer matrix stored as its non-zero rows {i: {j: v}}.
 
-    Entries are ints or Fractions; zeros and empty rows are never stored.
-    Matrices may share row dicts, so nothing may mutate them.  Use
-    :meth:`from_rows` for small literals.
+    Entries are ints only: any other type, bool included, raises TypeError.
+    Zeros and empty rows are never stored.  Matrices may share row dicts,
+    so nothing may mutate them.  Use :meth:`from_rows` for small literals.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -160,7 +147,9 @@ class Matrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ShapeError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                if v != 0:
+                if type(v) is not int:
+                    raise TypeError(f"entry ({i},{j}) is {v!r}, not an int")
+                if v:
                     row = rows.get(i)
                     if row is None:
                         rows[i] = row = {}
@@ -185,8 +174,7 @@ class Matrix:
             if len(row) != ncols:
                 raise ShapeError("ragged rows")
             for j, v in enumerate(row):
-                if v != 0:
-                    entries[(i, j)] = v
+                entries[(i, j)] = v
         return cls(nrows, ncols, entries)
 
     @property
@@ -203,7 +191,7 @@ class Matrix:
         return self.rows.get(i, {}).get(j, 0)
 
     def matmul(self, other: "Matrix") -> "Matrix":
-        """Exact product over the integers/rationals (no field reduction)."""
+        """Exact product over the integers (no field reduction)."""
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.ncols} cols vs {other.nrows} rows")
         out = {}
@@ -252,7 +240,6 @@ class InvariantError(AssertionError):
     """An exact result failed a consistency check (also under python -O)."""
 
 
-_INT = {int}
 _local = threading.local()
 
 
@@ -268,28 +255,12 @@ def _depends_on_field() -> None:
     _local.count = getattr(_local, "count", 0) + 1
 
 
-def _integral(row: dict) -> dict:
-    """row times the lcm of its denominators, with int entries."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-
-
-def _int_rows(rows: dict, field: CoefficientField) -> dict:
-    """The non-zero rows of a matrix as {row: {col: int}}.
-
-    Over Q each row holding a Fraction is multiplied by the lcm of its
-    denominators, which keeps its span, and integer rows are passed
-    through uncopied; over F_p the entries become residues in [1, p).
-    """
-    p = field.p
-    if p is None:
-        scaled = {i: _integral(row) for i, row in rows.items()
-                  if not _INT.issuperset(map(type, row.values()))}
-        return {**rows, **scaled} if scaled else rows
+def _residues(rows: dict, p: int) -> dict:
+    """The rows with their entries mod p, in [1, p); rows that vanish mod
+    p are dropped."""
     out = {}
     for i, row in rows.items():
-        row = {j: r for j, v in row.items()
-               if (r := v % p if type(v) is int else field.convert(v))}
+        row = {j: r for j, v in row.items() if (r := v % p)}
         if row:
             out[i] = row
     return out
@@ -334,19 +305,18 @@ def _echelon(m: Matrix, field: CoefficientField, reduced: bool) -> dict:
     pivots = _eliminated(m.rows, 0, reduced)
     if pivots is None:
         _depends_on_field()
-        pivots = _eliminated(_int_rows(m.rows, field), field.p, reduced)
+        p = field.p
+        pivots = _eliminated(_residues(m.rows, p) if p else m.rows, p, reduced)
     return pivots
 
 
 def _eliminated(rows: dict, p: int | None, reduced: bool) -> dict | None:
     """Echelon rows of int rows over the modulus p: with p = 0 over the
-    integers, pivoting only on entries 1 and -1, and None when a row holds
-    a non-int or a pivot would not be a unit; fraction-free over Q with p
-    None; over F_p with p prime.  Every pivot entry is 1 except over Q."""
+    integers, pivoting only on entries 1 and -1, and None when a pivot
+    would not be a unit; fraction-free over Q with p None; over F_p with p
+    prime, on residues in [1, p).  Every pivot entry is 1 except over Q."""
     pivots: dict = {}
     for row in rows.values():
-        if p == 0 and not _INT.issuperset(map(type, row.values())):
-            return None
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -379,16 +349,16 @@ def _back_substitute(pivots: dict, p: int | None) -> None:
 def rank(m: Matrix, field: CoefficientField) -> int:
     """Rank of the matrix over the given field."""
     if m.nrows <= 1 or m.ncols <= 1:
-        # 1 iff some entry is non-zero in the field.  Over F_p every entry
-        # is converted, so a vanishing denominator raises as it does below.
-        # An int entry 1 or -1 is non-zero in every field.
-        rows = m.rows if field.p is None else _int_rows(m.rows, field)
-        if m.rows:
-            values = [v for row in m.rows.values() for v in row.values()]
-            if not (_INT.issuperset(map(type, values))
-                    and (1 in values or -1 in values)):
-                _depends_on_field()
-        return int(bool(rows))
+        # 1 iff some entry is non-zero in the field.  An entry 1 or -1 is
+        # non-zero in every field; any other entry may vanish mod p.
+        values = [v for row in m.rows.values() for v in row.values()]
+        if 1 in values or -1 in values:
+            return 1
+        if not values:
+            return 0
+        _depends_on_field()
+        p = field.p
+        return int(not p or any(v % p for v in values))
     return len(_echelon(m, field, reduced=False))
 
 
@@ -433,23 +403,20 @@ def kernel_basis(m: Matrix, field: CoefficientField) -> Matrix:
 
 
 def product_is_zero(a: Matrix, b: Matrix, field: CoefficientField) -> bool:
-    """Whether a*b vanishes over the field.
-
-    Uses integer rows of a and integer columns of b: scaling a row or a
-    column by a non-zero rational keeps every zero of the product.
-    """
+    """Whether a*b vanishes over the field: every entry of the integer
+    product is zero, or over F_p zero mod p."""
     if a.ncols != b.nrows:
         raise ShapeError(f"{a.ncols} cols vs {b.nrows} rows")
     p = field.p
     a_by_col: dict = {}
-    for i, row in _int_rows(a.rows, field).items():
+    for i, row in a.rows.items():
         for k, v in row.items():
             a_by_col.setdefault(k, []).append((i, v))
     b_by_col: dict = {}
     for k, row in b.rows.items():
         for j, v in row.items():
             b_by_col.setdefault(j, {})[k] = v
-    for col in _int_rows(b_by_col, field).values():
+    for col in b_by_col.values():
         acc: dict = {}
         for k, w in col.items():
             for i, v in a_by_col.get(k, ()):

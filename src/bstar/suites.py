@@ -272,7 +272,7 @@ def _dealt(items, work, cost) -> list:
     when another thread is alive, since a fork taken while that thread
     holds a lock (such as the homology cache lock) leaves the lock held in
     the child.  Only this process keeps its cache entries.  No child
-    outlives the call."""
+    outlives the call: on an error, those whose pipe is unread are killed."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(items), cpus)
@@ -305,6 +305,7 @@ def _dealt(items, work, cost) -> list:
             results[i] = work(items[i])
         for k, (pid, pipe) in enumerate(children, start=1):
             data = pipe.read()
+            pipe.close()  # read to its end: the child is leaving by itself
             if not data:
                 raise ChildProcessError(
                     f"worker {k} of {workers} sent no result")
@@ -314,9 +315,10 @@ def _dealt(items, work, cost) -> list:
             for i, result in zip(shares[k], value):
                 results[i] = result
     except BaseException:
-        for pid, _ in children:
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
+        for pid, pipe in children:
+            if not pipe.closed:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
         raise
     finally:
         for pid, pipe in children:

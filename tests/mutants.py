@@ -111,6 +111,20 @@ MUTANTS = {
          PROPERTIES
          + "test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only"),
     ),
+    "Matrix accepts entries that are not ints": (
+        "linalg.py",
+        """                if type(v) is not int:
+                    raise TypeError(f"entry ({i},{j}) is {v!r}, not an int")
+""",
+        "",
+        (LINALG + "test_entries_must_be_ints",),
+    ),
+    "the thin rank takes only 1, not -1, for a unit": (
+        "linalg.py",
+        """        if 1 in values or -1 in values:""",
+        """        if 1 in values:""",
+        (LINALG + "test_fallbacks_move_the_field_dependence_counter",),
+    ),
 }
 
 

@@ -96,6 +96,36 @@ def test_cli_construct_vectors_homology(tmp_path, capsys):
     assert data["betti"] == [0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simplex", "2", "abc"],
+    ["cross-polytope", "2", "x"],
+    ["scps", "9", "3.0"],
+    ["named"],
+    ["named", "rp2_min", "extra"],
+])
+def test_cli_construct_rejects_bad_parameters(tmp_path, capsys, argv):
+    # every parameter of a numeric family must be an int, and named takes
+    # exactly one name: exit 2, one stderr line, nothing written
+    out = tmp_path / "out.json"
+    assert main(["construct", *argv]) == 2
+    assert main(["construct", *argv, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].startswith("construct: ")
+    assert "index" not in lines[0]
+    assert argv[-1] in lines[0]
+    assert not out.exists()
+
+
+def test_cli_construct_names_the_complex_by_its_parameters(capsys):
+    assert main(["construct", "simplex", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "simplex(2)"
+    assert main(["construct", "scps", "9", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "scps(9,3)"
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     octa = tmp_path / "octa.json"
     main(["construct", "cross-polytope", "3", "-o", str(octa)])
