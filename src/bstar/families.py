@@ -242,10 +242,11 @@ def fixture(name: str) -> Fixture:
     """Full fixture record (complex, optional coloring, expected Betti)."""
     if not _fixtures:
         _fixtures.update(_fixture_table())
-    try:
-        return _fixtures[name]
-    except KeyError:
-        raise UnknownFixtureError(name) from None
+    if name not in _fixtures:
+        raise UnknownFixtureError(
+            f"no fixture is named {name!r}; the fixtures are "
+            f"{', '.join(sorted(_fixtures))}")
+    return _fixtures[name]
 
 
 def named(name: str) -> Complex:

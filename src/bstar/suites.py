@@ -2,22 +2,26 @@
 toolkit is expected to certify, plus the random-complex generators and the
 empirical explorer for the open lower-bound question.
 
-Each suite produces a SuiteReport whose case records carry the input id,
-property, field, expected and observed values, and a witness when a case
-fails.  Records are sorted by case id before the report is assembled, so
+A suite declares three things: its inputs (corpus ids, or a function of
+the seed and ``max_n`` returning CorpusEntry items), the cases it gives
+once for an input, which name no field ("-") or are pinned to Q, and the
+cases it gives for an input over one field.  ``run_suite`` alone applies
+the declarations.  It rejects a field given twice.  For each input it
+takes the once-cases, then the cases over every field through
+``_for_every_field``: computed over the first field, and over the others
+only when some rank on the way depended on the field, as torsion makes it
+do (``rp2_min`` has 2-torsion); otherwise the first field's cases are
+copied.  It sorts the case records by (case id, property, field), so
 reports are independent of execution order; the JSON and text renderings
 contain identical verdicts.
 
-``lemma-oracle`` and ``hierarchy``, the two costliest suites, compute
-each complex once for every field (see ``_for_every_field``): over the
-first field, and over the others only when some rank on the way depended
-on the field, as torsion makes it do (``rp2_min`` has 2-torsion).  Both
-deal their complexes over the usable CPUs: the calling process runs one
-share and a forked child each other share (see ``_dealt``).  They run
-serially when one CPU is usable, when there is no ``os.fork`` or when
-another thread is alive.  Every other suite runs serially: its work takes
-a few milliseconds at most, near the 2-3 ms that a fork and the round
-trip of its result take.
+``lemma-oracle`` and ``hierarchy``, the two costliest suites, are dealt:
+``run_suite`` shares their inputs over the usable CPUs, the calling
+process running one share and a forked child each other share (see
+``_dealt``).  They run serially when one CPU is usable, when there is no
+``os.fork`` or when another thread is alive.  Every other suite runs
+serially: its work takes a few milliseconds at most, near the 2-3 ms that
+a fork and the round trip of its result take.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from .families import (cross_polytope, fixture, fixture_names,
                        skeleton_join_sphere, stacked_cross_polytopal_sphere)
 from .homology import (reduced_betti, relative_betti_vector,
                        pair_restriction_surjective, top_restriction_surjective)
-from .linalg import (GF2, GF3, QQ, CoefficientField, InvariantError,
-                     _field_dependence)
+from .linalg import GF2, GF3, QQ, CoefficientField, _field_dependence
 from .properties import (Coloring, is_buchsbaum, is_buchsbaum_star,
-                         is_doubly_buchsbaum, is_m_buchsbaum_star, is_m_cm,
-                         rank_selected, revalidate_witness)
+                         is_doubly_buchsbaum, is_homology_manifold,
+                         is_m_buchsbaum_star, is_m_cm, rank_selected,
+                         revalidate_witness)
 from .version import __version__
 
 
@@ -63,19 +67,15 @@ class CaseRecord(Record):
 class SuiteReport(Record):
     __slots__ = ("suite", "version", "fields", "seed", "max_n", "passed",
                  "duration_s", "cases", "notes", "incomplete")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # mutable
+    # mutable, so unhashable
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
     __hash__ = None
-
-    def __init__(self, suite: str, version: str, fields: tuple, seed: int,
-                 max_n: int | None, passed: bool, duration_s: float,
-                 cases: list, notes: tuple = (), incomplete: bool = False):
-        super().__init__(suite, version, fields, seed, max_n, passed,
-                         duration_s, cases, notes, incomplete)
 
     def to_dict(self) -> dict:
         """The fields in order, each case as a dict of its fields."""
         out = dict(zip(self.__slots__, self._values()))
-        out["cases"] = [dict(zip(c.__slots__, c._values())) for c in self.cases]
+        out["cases"] = [dict(zip(c.__slots__, c._values()))
+                        for c in self.cases]
         return out
 
     def render_text(self) -> str:
@@ -100,7 +100,8 @@ class SuiteReport(Record):
         return "\n".join(lines)
 
 
-def _case(case_id, prop, field_label, expected, got, witness=None) -> CaseRecord:
+def _case(case_id, prop, field_label, expected, got,
+          witness=None) -> CaseRecord:
     return CaseRecord(case_id, prop, field_label, repr(expected), repr(got),
                       None if witness is None else str(witness),
                       expected == got)
@@ -148,14 +149,15 @@ def random_balanced_complex(seed: int, max_vertices: int = 8):
     return cx, coloring
 
 
-def _random_pure_corpus(seed: int, count: int, n_max: int):
+def _random_pure_corpus(seed: int, count: int, n_max: int) -> list:
     rng = random.Random(f"pure-corpus-{seed}-{n_max}")
     out = []
     for k in range(count):
         dim = rng.randint(1, 3)
         n = rng.randint(dim + 1, max(dim + 1, n_max))
         fc = rng.randint(1, comb(n, dim + 1))
-        out.append((f"random[{k}]", random_pure_complex(seed * 1009 + k, n, dim, fc)))
+        cx = random_pure_complex(seed * 1009 + k, n, dim, fc)
+        out.append(CorpusEntry(f"random[{k}]", cx, None))
     return out
 
 
@@ -184,8 +186,10 @@ def corpus() -> list:
         entries.append(CorpusEntry(f"scps({n},{d})", cx, col))
     p33, p33_col = multi_point_join_colored(3, 3)
     entries.append(CorpusEntry("P(3,3)", p33, p33_col))
-    entries.append(CorpusEntry("S(2,2,3)", skeleton_join_sphere(2, 2, 4), None))
-    entries.append(CorpusEntry("simplex_boundary(3)", simplex_boundary(3), None))
+    entries.append(CorpusEntry("S(2,2,3)", skeleton_join_sphere(2, 2, 4),
+                               None))
+    entries.append(CorpusEntry("simplex_boundary(3)", simplex_boundary(3),
+                               None))
     _corpus_cache.extend(entries)
     return list(entries)
 
@@ -230,11 +234,6 @@ def _stacked_f_formula(n: int, d: int) -> tuple:
     return tuple(f)
 
 
-def _proper_nonempty_subsets(d: int):
-    for size in range(1, d):
-        yield from itertools.combinations(range(1, d + 1), size)
-
-
 # -- one complex per core, computed once for every field --------------------
 
 def _for_every_field(fields, cases_over) -> list:
@@ -256,9 +255,9 @@ def _for_every_field(fields, cases_over) -> list:
                     for f in fields[1:] for c in first]
 
 
-def _face_count(c: Complex) -> int:
+def _face_count(entry) -> int:
     """The work of both dealt suites grows with the faces of a complex."""
-    return sum(map(len, c.face_table()))
+    return sum(map(len, entry.complex.face_table()))
 
 
 def _dealt(items, work, cost) -> list:
@@ -347,274 +346,257 @@ def _child(write, work, items):
 
 
 # -- suites -------------------------------------------------------------------
+#
+# The claims below call the predicates through this module's globals, never
+# through a default argument or a closure, so that whatever rebinds them
+# here (a tracer, a test's spy) sees every call.
 
-def _suite_stanley(fields, seed, max_n):
-    cases = []
-    inputs = [(_entry(cid).cid, _entry(cid).complex, _entry(cid).coloring)
-              for cid in ("octahedron", "scps(9,3)", "P(3,3)")]
-    for k in range(50):
-        cx, coloring = random_balanced_complex(seed + k, max_n or 8)
-        inputs.append((f"balanced[{k}]", cx, coloring))
-    for cid, cx, coloring in inputs:
-        d = coloring.d
-        h = h_vector(cx)
-        sums = [0] * (d + 1)
-        for size in range(d + 1):
-            for s in itertools.combinations(range(1, d + 1), size):
-                hs = h_vector(rank_selected(cx, coloring, s))
-                sums[size] += hs[size]
-        cases.append(_case(cid, "rank_selection_h_identity", "-",
-                           list(h), sums))
-    return cases
+def _verdict(case_id, prop, field_label, report, expected=True):
+    return _case(case_id, prop, field_label, expected, report.verdict,
+                 report.witness)
 
 
-def _suite_rank_selection(fields, seed, max_n):
-    cases = []
-    for cid in BALANCED_BSTAR_IDS:
-        entry = _entry(cid)
-        d = entry.coloring.d
-        for s in _proper_nonempty_subsets(d):
-            sub = rank_selected(entry.complex, entry.coloring, s)
-            for f in fields:
-                rep = is_buchsbaum_star(sub, f)
-                cases.append(_case(f"{cid}|S={list(s)}", "buchsbaum_star",
-                                   f.label, True, rep.verdict, rep.witness))
-    return cases
+def _no_cases(*entry_and_field) -> list:
+    return []
 
 
-def _suite_m_rank_selection(fields, seed, max_n):
-    cases = []
-    entry = _entry("P(3,3)")
-    for s in itertools.combinations(range(1, 4), 2):
-        sub = rank_selected(entry.complex, entry.coloring, s)
-        for f in fields:
-            rep = is_m_buchsbaum_star(sub, 2, f)
-            cases.append(_case(f"P(3,3)|S={list(s)}|m=2", "m_buchsbaum_star",
-                               f.label, True, rep.verdict, rep.witness))
-    return cases
+def _balanced_inputs(seed, max_n) -> list:
+    return [*map(_entry, ("octahedron", "scps(9,3)", "P(3,3)")),
+            *(CorpusEntry(f"balanced[{k}]",
+                          *random_balanced_complex(seed + k, max_n or 8))
+              for k in range(50))]
 
 
-def _suite_balanced_lbt(fields, seed, max_n):
-    cases = []
-    for cid in BALANCED_BSTAR_D3_IDS:
-        entry = _entry(cid)
-        rep = is_buchsbaum_star(entry.complex, QQ)
-        cases.append(_case(f"{cid}|hypothesis", "buchsbaum_star", "Q",
-                           True, rep.verdict, rep.witness))
-        h = h_vector(entry.complex)
-        d = len(h) - 1
-        lhs, rhs = d * h[2], comb(d, 2) * h[1]
-        cases.append(_case(f"{cid}|d*h2>=C(d,2)*h1", "lower_bound", "-",
-                           True, lhs >= rhs, f"{lhs} vs {rhs}"))
-    for cid in ("scps(9,3)", "scps(12,4)"):
-        h = h_vector(_entry(cid).complex)
-        d = len(h) - 1
+def _stanley(e) -> list:
+    """h_j is the sum of h_j over the rank selections to j colours."""
+    colors = range(1, e.coloring.d + 1)
+    sums = [sum(h_vector(rank_selected(e.complex, e.coloring, s))[size]
+                for s in itertools.combinations(colors, size))
+            for size in range(len(colors) + 1)]
+    return [_case(e.cid, "rank_selection_h_identity", "-",
+                  list(h_vector(e.complex)), sums)]
+
+
+def _rank_selection(e, f) -> list:
+    """Rank selection to proper sets of colours keeps Buchsbaum-star."""
+    colors = range(1, e.coloring.d + 1)
+    return [_verdict(f"{e.cid}|S={list(s)}", "buchsbaum_star", f.label,
+                     is_buchsbaum_star(
+                         rank_selected(e.complex, e.coloring, s), f))
+            for size in range(1, len(colors))
+            for s in itertools.combinations(colors, size)]
+
+
+def _m_rank_selection(e, f) -> list:
+    """Rank selection to two colours preserves 2-Buchsbaum-star."""
+    colors = range(1, e.coloring.d + 1)
+    return [_verdict(f"{e.cid}|S={list(s)}|m=2", "m_buchsbaum_star", f.label,
+                     is_m_buchsbaum_star(
+                         rank_selected(e.complex, e.coloring, s), 2, f))
+            for s in itertools.combinations(colors, 2)]
+
+
+def _lower_bound(cid, h, i) -> CaseRecord:
+    d = len(h) - 1
+    lhs, rhs = d * h[i], comb(d, i) * h[1]
+    return _case(f"{cid}|d*h{i}>=C(d,{i})*h1", "lower_bound", "-",
+                 True, lhs >= rhs, f"{lhs} vs {rhs}")
+
+
+def _balanced_lbt(e) -> list:
+    """d*h2 >= C(d,2)*h1, with equality on stacked spheres."""
+    cid, cx = e.cid, e.complex
+    h, fv = h_vector(cx), f_vector(cx)
+    n, d = cx.n_vertices, len(h) - 1
+    cases = [_verdict(f"{cid}|hypothesis", "buchsbaum_star", "Q",
+                      is_buchsbaum_star(cx, QQ)), _lower_bound(cid, h, 2)]
+    if cid in ("scps(9,3)", "scps(12,4)"):
         cases.append(_case(f"{cid}|equality", "lower_bound_equality", "-",
                            comb(d, 2) * h[1], d * h[2]))
-    h = h_vector(_entry("P(3,3)").complex)
-    cases.append(_case("P(3,3)|strict", "lower_bound_strict", "-",
-                       True, 3 * h[2] > comb(3, 2) * h[1]))
-    for n, d in ((9, 3), (12, 3), (8, 4)):
-        got = f_vector(_entry(f"scps({n},{d})").complex)
-        cases.append(_case(f"scps({n},{d})|f_formula", "f_vector", "-",
-                           list(_stacked_f_formula(n, d)), list(got)))
-    for cid in BALANCED_BSTAR_D3_IDS:
-        cx = _entry(cid).complex
-        n, d = cx.n_vertices, cx.dim + 1
-        if n % d == 0:
-            cases.append(_case(f"{cid}|f>=stacked", "f_vector_bound", "-",
-                               True, poly_geq(f_vector(cx),
-                                              _stacked_f_formula(n, d))))
+    if cid == "P(3,3)":
+        cases.append(_case(f"{cid}|strict", "lower_bound_strict", "-",
+                           True, d * h[2] > comb(d, 2) * h[1]))
+    if n % d == 0:
+        stacked = _stacked_f_formula(n, d)
+        if cid in ("scps(9,3)", "scps(12,3)", "scps(8,4)"):
+            cases.append(_case(f"{cid}|f_formula", "f_vector", "-",
+                               list(stacked), list(fv)))
+        cases.append(_case(f"{cid}|f>=stacked", "f_vector_bound", "-",
+                           True, poly_geq(fv, stacked)))
     return cases
 
 
-def _suite_h3_bound(fields, seed, max_n):
-    cases = []
-    for cid in BALANCED_BSTAR_D4_IDS:
-        h = h_vector(_entry(cid).complex)
-        d = len(h) - 1
-        lhs, rhs = d * h[3], comb(d, 3) * h[1]
-        cases.append(_case(f"{cid}|d*h3>=C(d,3)*h1", "lower_bound", "-",
-                           True, lhs >= rhs, f"{lhs} vs {rhs}"))
+def _h3_bound(e) -> list:
+    """d*h3 >= C(d,3)*h1 for d >= 4."""
+    return [_lower_bound(e.cid, h_vector(e.complex), 3)]
+
+
+def _pure_inputs(seed, max_n) -> list:
+    return ([e for e in corpus() if e.complex.is_pure]
+            + _random_pure_corpus(seed, 100, max_n or 8))
+
+
+def _swartz(e) -> list:
+    """Short simplicial h-number identity."""
+    h = h_vector(e.complex)
+    expected = [j * h[j] + (len(h) - j) * h[j - 1] for j in range(1, len(h))]
+    return [_case(e.cid, "short_h_identity", "-", expected,
+                  list(short_simplicial_h(e.complex)))]
+
+
+# m for the joins of d copies of m + 1 points, where (1 + m t)^d is attained
+_EXTREMAL_M = {"k33": 2, "P(3,3)": 2, "octahedron": 1}
+
+
+def _flag_bound(e, f) -> list:
+    """The flag h'-bound (1 + m t)^d holds with equality at the joins."""
+    if e.cid not in _EXTREMAL_M:
+        return []
+    bound = _binomial_power(_EXTREMAL_M[e.cid], e.complex.dim + 1)
+    return [_case(f"{e.cid}|h_prime", "h_prime_extremal", f.label,
+                  list(bound), list(h_prime_vector(e.complex, f)))]
+
+
+def _suspended_hexagon(e) -> list:
+    """A flag Buchsbaum-star complex exceeds the bound strictly."""
+    if e.cid != "suspended_hexagon":
+        return []
+    cid, cx = e.cid, e.complex
+    hp, bound = h_prime_vector(cx, QQ), _binomial_power(1, cx.dim + 1)
+    versus = f"{hp} vs {bound}"
+    octahedron = _entry("octahedron").complex
+    return [
+        _case(f"{cid}|flag", "flag", "-", True, cx.is_flag),
+        _verdict(f"{cid}|buchsbaum_star", "buchsbaum_star", "Q",
+                 is_buchsbaum_star(cx, QQ)),
+        _case(f"{cid}|h_prime>=bound", "poly_geq", "Q",
+              True, poly_geq(hp, bound), versus),
+        _case(f"{cid}|strict_excess", "poly_gt", "Q",
+              True, hp != bound and poly_geq(hp, bound), versus),
+        _case(f"{cid}|not_cross_polytope", "nonextremal", "-",
+              True, cx.n_vertices != octahedron.n_vertices)]
+
+
+def _euler_bound(e) -> list:
+    """The bound (-1)^(d-1) chi~ >= m^d is attained at the joins."""
+    d = e.complex.dim + 1
+    return [_case(f"{e.cid}|(-1)^(d-1)chi", "euler_bound", "-",
+                  _EXTREMAL_M[e.cid] ** d,
+                  (-1) ** (d - 1) * reduced_euler_characteristic(e.complex))]
+
+
+def _euler_from_betti(e, f) -> list:
+    return [_case(f"{e.cid}|chi_consistency", "euler_from_betti", f.label,
+                  reduced_euler_characteristic(e.complex),
+                  reduced_betti(e.complex, f).chi_reduced())]
+
+
+def _homology_manifold(e) -> list:
+    return [_verdict(f"{e.cid}|homology_manifold", "homology_manifold", "Q",
+                     is_homology_manifold(e.complex, QQ))]
+
+
+def _rp2_buchsbaum_star(e, f) -> list:
+    """Buchsbaum-star over F2 only; elsewhere one vertex shows it fails."""
+    rep = is_buchsbaum_star(e.complex, f)
+    cases = [_verdict(f"{e.cid}|buchsbaum_star", "buchsbaum_star", f.label,
+                      rep, f.p == 2)]
+    if f.p != 2:
+        w = rep.witness
+        ok = (w is not None and w.kind == "surjectivity"
+              and len(w.data[0]) == 1
+              and revalidate_witness(e.complex, rep, f))
+        cases.append(_case(f"{e.cid}|witness_vertex", "witness", f.label,
+                           True, ok, w))
     return cases
 
 
-def _suite_swartz(fields, seed, max_n):
-    cases = []
-    inputs = [(e.cid, e.complex) for e in corpus() if e.complex.is_pure]
-    inputs.extend(_random_pure_corpus(seed, 100, max_n or 8))
-    for cid, cx in inputs:
-        short = short_simplicial_h(cx)
-        h = h_vector(cx)
-        d = len(h) - 1
-        expected = tuple(j * h[j] + (d - j + 1) * h[j - 1]
-                         for j in range(1, d + 1))
-        cases.append(_case(cid, "short_h_identity", "-",
-                           list(expected), list(short)))
-    return cases
+def _oracle_inputs(seed, max_n) -> list:
+    return corpus() + _random_pure_corpus(seed, 100, max_n or 7)
 
 
-def _suite_flag_bound(fields, seed, max_n):
-    cases = []
-    targets = (
-        ("k33", 2, (1, 4, 4)),
-        ("P(3,3)", 3, (1, 6, 12, 8)),
-        ("octahedron", 3, (1, 3, 3, 1)),
-    )
-    ms = {"k33": 2, "P(3,3)": 2, "octahedron": 1}
-    for cid, d, expected in targets:
-        entry = _entry(cid)
-        m = ms[cid]
-        if expected != _binomial_power(m, d):
-            raise InvariantError(f"{cid}: {expected} is not the h-vector bound")
-        for f in fields:
-            got = h_prime_vector(entry.complex, f)
-            cases.append(_case(f"{cid}|h_prime", "h_prime_extremal",
-                               f.label, list(expected), list(got)))
-    hexsus = _entry("suspended_hexagon")
-    cases.append(_case("suspended_hexagon|flag", "flag", "-",
-                       True, hexsus.complex.is_flag))
-    rep = is_buchsbaum_star(hexsus.complex, QQ)
-    cases.append(_case("suspended_hexagon|buchsbaum_star", "buchsbaum_star",
-                       "Q", True, rep.verdict, rep.witness))
-    hp = h_prime_vector(hexsus.complex, QQ)
-    bound = _binomial_power(1, 3)
-    cases.append(_case("suspended_hexagon|h_prime>=bound", "poly_geq", "Q",
-                       True, poly_geq(hp, bound), f"{hp} vs {bound}"))
-    cases.append(_case("suspended_hexagon|strict_excess", "poly_gt", "Q",
-                       True, hp != bound and poly_geq(hp, bound),
-                       f"{hp} vs {bound}"))
-    cases.append(_case("suspended_hexagon|not_cross_polytope", "nonextremal",
-                       "-", True,
-                       hexsus.complex.n_vertices
-                       != _entry("octahedron").complex.n_vertices))
-    return cases
+def _lemma_oracle(e, f) -> list:
+    """The first face whose contrastar and link homology disagree."""
+    return [_case(e.cid, "contrastar_link_shift", f.label, None,
+                  next(_link_shift_mismatches(e.complex, f), None))]
 
 
-def _suite_euler(fields, seed, max_n):
-    cases = []
-    for cid, m, d in (("k33", 2, 2), ("P(3,3)", 2, 3)):
-        cx = _entry(cid).complex
-        chi = reduced_euler_characteristic(cx)
-        value = (-1) ** (d - 1) * chi
-        cases.append(_case(f"{cid}|(-1)^(d-1)chi", "euler_bound", "-",
-                           m ** d, value))
-        for f in fields:
-            betti = reduced_betti(cx, f)
-            cases.append(_case(f"{cid}|chi_consistency", "euler_from_betti",
-                               f.label, chi, betti.chi_reduced()))
-    return cases
-
-
-def _suite_orientability(fields, seed, max_n):
-    cases = []
-    rp2 = _entry("rp2_min").complex
-    from .properties import is_homology_manifold
-    rep = is_homology_manifold(rp2, QQ)
-    cases.append(_case("rp2_min|homology_manifold", "homology_manifold", "Q",
-                       True, rep.verdict, rep.witness))
-    expected = {"F2": True, "Q": False, "F3": False}
-    for f in (GF2, QQ, GF3):
-        rep = is_buchsbaum_star(rp2, f)
-        cases.append(_case(f"rp2_min|buchsbaum_star", "buchsbaum_star",
-                           f.label, expected[f.label], rep.verdict,
-                           rep.witness))
-        if not expected[f.label]:
-            w = rep.witness
-            ok = (w is not None and w.kind == "surjectivity"
-                  and len(w.data[0]) == 1
-                  and revalidate_witness(rp2, rep, f))
-            cases.append(_case(f"rp2_min|witness_vertex", "witness",
-                               f.label, True, ok, w))
-    return cases
-
-
-def _suite_lemma_oracle(fields, seed, max_n):
-    inputs = [(e.cid, e.complex) for e in corpus() if not e.complex.is_void]
-    inputs.extend(_random_pure_corpus(seed, 100, max_n or 7))
-
-    def case(cid, cx, f):
-        bad = None
-        for tau in cx.faces_sorted():
-            if not tau:
-                continue
+def _link_shift_mismatches(cx, f):
+    for tau in cx.faces_sorted():
+        if tau:
             rel = relative_betti_vector(cx, tau, f)
-            link_betti = reduced_betti(cx.link(tau), f)
+            link = reduced_betti(cx.link(tau), f)
             for i in range(-1, cx.dim + 1):
-                if rel[i] != link_betti[i - len(tau)]:
-                    bad = (tau, i, rel[i], link_betti[i - len(tau)])
-                    break
-            if bad:
-                break
-        return [_case(f"{cid}", "contrastar_link_shift", f.label, None, bad)]
-
-    def work(item):
-        cid, cx = item
-        return _for_every_field(fields, lambda f: case(cid, cx, f))
-
-    return _dealt(inputs, work, lambda item: _face_count(item[1]))
+                if rel[i] != link[i - len(tau)]:
+                    yield tau, i, rel[i], link[i - len(tau)]
 
 
-def _suite_hierarchy(fields, seed, max_n):
-    def cases_over(entry, f):
-        cases = []
-        cx = entry.complex
-        star = is_buchsbaum_star(cx, f)
-        if star.verdict:
-            d = cx.dim + 1
-            if d >= 2:
-                betti = reduced_betti(cx, f)
-                cases.append(_case(f"{entry.cid}|top_betti", "nonzero_top",
-                                   f.label, True, betti[cx.dim] >= 1))
-                links_ok = all(
-                    is_m_cm(cx.link((v,)), 2, f).verdict
-                    for v in cx.vertices)
-                cases.append(_case(f"{entry.cid}|links_2cm", "two_cm_links",
-                                   f.label, True, links_ok))
-            dbl = is_doubly_buchsbaum(cx, f)
-            cases.append(_case(f"{entry.cid}|doubly", "doubly_buchsbaum",
-                               f.label, True, dbl.verdict, dbl.witness))
-        elif star.witness is not None:
-            cases.append(_case(f"{entry.cid}|witness_sound", "witness",
-                               f.label, True,
-                               revalidate_witness(cx, star, f),
-                               star.witness))
-        buchs = is_buchsbaum(cx, f)
-        if buchs.verdict:
-            all_c = all(
-                top_restriction_surjective(cx, tau, f)
-                for tau in cx.faces_sorted() if tau)
-            all_b = all(
-                pair_restriction_surjective(cx, sigma, tau, f)
-                for tau in cx.faces_sorted() if tau
-                for k in range(len(tau) + 1)
-                for sigma in itertools.combinations(tau, k))
-            cases.append(_case(f"{entry.cid}|b_iff_c", "conditions_b_c",
-                               f.label, all_c, all_b))
-        return cases
+def _hierarchy(e, f) -> list:
+    """Buchsbaum-star consequences; conditions (b) and (c) agree."""
+    cases = []
+    cx = e.complex
+    star = is_buchsbaum_star(cx, f)
+    if star.verdict:
+        if cx.dim >= 1:
+            betti = reduced_betti(cx, f)
+            cases.append(_case(f"{e.cid}|top_betti", "nonzero_top",
+                               f.label, True, betti[cx.dim] >= 1))
+            links_ok = all(is_m_cm(cx.link((v,)), 2, f).verdict
+                           for v in cx.vertices)
+            cases.append(_case(f"{e.cid}|links_2cm", "two_cm_links",
+                               f.label, True, links_ok))
+        cases.append(_verdict(f"{e.cid}|doubly", "doubly_buchsbaum", f.label,
+                              is_doubly_buchsbaum(cx, f)))
+    elif star.witness is not None:
+        cases.append(_case(f"{e.cid}|witness_sound", "witness", f.label,
+                           True, revalidate_witness(cx, star, f),
+                           star.witness))
+    if is_buchsbaum(cx, f).verdict:
+        faces = [tau for tau in cx.faces_sorted() if tau]
+        all_c = all(top_restriction_surjective(cx, tau, f) for tau in faces)
+        all_b = all(pair_restriction_surjective(cx, sigma, tau, f)
+                    for tau in faces
+                    for k in range(len(tau) + 1)
+                    for sigma in itertools.combinations(tau, k))
+        cases.append(_case(f"{e.cid}|b_iff_c", "conditions_b_c",
+                           f.label, all_c, all_b))
+    return cases
 
-    def work(entry):
-        return _for_every_field(fields, lambda f: cases_over(entry, f))
 
-    return _dealt(corpus(), work, lambda entry: _face_count(entry.complex))
+class _Suite:
+    """A suite as ``run_suite`` applies it.  ``inputs`` holds corpus ids,
+    or is a function of (seed, max_n) returning CorpusEntry items.
+    ``once(entry)`` gives the cases free of the field ("-") or pinned to Q,
+    ``over(entry, field)`` the cases over that field.  ``fields`` are the
+    fields run when the caller names none; a ``dealt`` suite's inputs are
+    dealt over the CPUs."""
+
+    __slots__ = ("inputs", "once", "over", "fields", "dealt")
+
+    def __init__(self, inputs, once=_no_cases, over=_no_cases,
+                 fields=(QQ, GF2), dealt=False):
+        self.inputs, self.once, self.over = inputs, once, over
+        self.fields, self.dealt = fields, dealt
 
 
 _SUITES = {
-    "stanley-hnums": (_suite_stanley, "balanced h-number identity under rank selection"),
-    "rank-selection": (_suite_rank_selection, "rank-selected subcomplexes stay Buchsbaum-star"),
-    "m-rank-selection": (_suite_m_rank_selection, "rank selection preserves m-Buchsbaum-star"),
-    "balanced-lbt": (_suite_balanced_lbt, "lower bound d*h2 >= C(d,2)*h1 with equality cases"),
-    "h3-bound": (_suite_h3_bound, "lower bound d*h3 >= C(d,3)*h1 for d >= 4"),
-    "swartz-identity": (_suite_swartz, "short simplicial h-number identity"),
-    "flag-lower-bound": (_suite_flag_bound, "flag h'-bound (1+mt)^d and equality cases"),
-    "euler-corollary": (_suite_euler, "Euler characteristic bound m^d"),
-    "orientability-rp2": (_suite_orientability, "field dependence on the projective plane"),
-    "lemma-oracle": (_suite_lemma_oracle, "relative homology equals shifted link homology"),
-    "hierarchy": (_suite_hierarchy, "Buchsbaum-star consequences and b/c agreement"),
+    "stanley-hnums": _Suite(_balanced_inputs, once=_stanley),
+    "rank-selection": _Suite(BALANCED_BSTAR_IDS, over=_rank_selection),
+    "m-rank-selection": _Suite(("P(3,3)",), over=_m_rank_selection),
+    "balanced-lbt": _Suite(BALANCED_BSTAR_D3_IDS, once=_balanced_lbt),
+    "h3-bound": _Suite(BALANCED_BSTAR_D4_IDS, once=_h3_bound),
+    "swartz-identity": _Suite(_pure_inputs, once=_swartz),
+    "flag-lower-bound": _Suite((*_EXTREMAL_M, "suspended_hexagon"),
+                               once=_suspended_hexagon, over=_flag_bound),
+    "euler-corollary": _Suite(("k33", "P(3,3)"), once=_euler_bound,
+                              over=_euler_from_betti),
+    "orientability-rp2": _Suite(("rp2_min",), once=_homology_manifold,
+                                over=_rp2_buchsbaum_star,
+                                fields=(GF2, QQ, GF3)),
+    "lemma-oracle": _Suite(_oracle_inputs, over=_lemma_oracle, dealt=True),
+    "hierarchy": _Suite(lambda seed, max_n: corpus(), over=_hierarchy,
+                        dealt=True),
 }
-
-DEFAULT_FIELDS = (QQ, GF2)
-
 
 def suite_names() -> list:
     return sorted(_SUITES)
@@ -624,29 +606,32 @@ def run_suite(name: str, fields=None, seed: int = 0,
               max_n: int | None = None) -> SuiteReport:
     """Run one registered suite deterministically and return its report.
     ``max_n`` bounds the vertex count of the random inputs; the smallest
-    value every suite accepts is 3."""
+    value every suite accepts is 3.  A field may be given once only."""
     if name not in _SUITES:
         raise UnknownSuiteError(name)
     if max_n is not None and max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
-    func, _ = _SUITES[name]
-    if fields is None:
-        fields = (GF2, QQ, GF3) if name == "orientability-rp2" else DEFAULT_FIELDS
+    suite = _SUITES[name]
+    fields = suite.fields if fields is None else tuple(fields)
+    labels = tuple(f.label for f in fields)
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"field {max(labels, key=labels.count)} "
+                         f"is given more than once")
     start = time.perf_counter()
-    cases = func(tuple(fields), seed, max_n)
+    inputs = suite.inputs
+    items = inputs(seed, max_n) if callable(inputs) else [*map(_entry, inputs)]
+
+    def work(entry):
+        return suite.once(entry) + _for_every_field(
+            fields, lambda f: suite.over(entry, f))
+
+    cases = (_dealt(items, work, _face_count) if suite.dealt
+             else [case for entry in items for case in work(entry)])
     duration = time.perf_counter() - start
-    cases = sorted(cases, key=lambda c: (c.case_id, c.prop, c.field))
-    return SuiteReport(
-        suite=name,
-        version=__version__,
-        fields=tuple(f.label for f in fields),
-        seed=seed,
-        max_n=max_n,
-        passed=all(c.passed for c in cases),
-        duration_s=duration,
-        cases=cases,
-        notes=(),
-    )
+    cases.sort(key=lambda c: (c.case_id, c.prop, c.field))
+    return SuiteReport(name, __version__, labels, seed, max_n,
+                       all(c.passed for c in cases), duration, cases, (),
+                       False)
 
 
 def explore_question(m: int, i: int, d: int, n_max: int = 9, seed: int = 0,

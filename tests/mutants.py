@@ -67,7 +67,11 @@ MUTANTS = {
         (SUITES + "test_suite_reports_are_byte_identical",
          SUITES + "test_torsion_complexes_are_computed_per_field",
          SUITES + "test_three_fields_give_the_cases_of_three_single_field_runs"
-         "[hierarchy]"),
+         "[hierarchy]",
+         SUITES + "test_three_fields_give_the_cases_of_three_single_field_runs"
+         "[orientability-rp2]",
+         SUITES + "test_three_fields_give_the_cases_of_three_single_field_runs"
+         "[rank-selection]"),
     ),
     "the report memo stores witnesses in labels": (
         "properties.py",

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from bstar import (ComplexFile, ComplexFileError, build, clear_caches,
-                   cross_polytope, emit, emit_text, homology,
+                   cross_polytope, emit, emit_text, fixture_names, homology,
                    is_buchsbaum_star, is_cohen_macaulay, parse, parse_text)
 from bstar.cli import main, parse_field
 from bstar.homology import load_betti_cache, save_betti_cache
@@ -102,10 +102,12 @@ def test_cli_construct_vectors_homology(tmp_path, capsys):
     ["scps", "9", "3.0"],
     ["named"],
     ["named", "rp2_min", "extra"],
+    ["named", "nosuch"],
 ])
 def test_cli_construct_rejects_bad_parameters(tmp_path, capsys, argv):
     # every parameter of a numeric family must be an int, and named takes
-    # exactly one name: exit 2, one stderr line, nothing written
+    # exactly one name, that of a fixture: exit 2, one stderr line,
+    # nothing written
     out = tmp_path / "out.json"
     assert main(["construct", *argv]) == 2
     assert main(["construct", *argv, "-o", str(out)]) == 2
@@ -117,6 +119,10 @@ def test_cli_construct_rejects_bad_parameters(tmp_path, capsys, argv):
     assert "index" not in lines[0]
     assert argv[-1] in lines[0]
     assert not out.exists()
+    if argv == ["named", "nosuch"]:
+        assert "no fixture is named 'nosuch'" in lines[0]
+        assert all(name in lines[0] for name in fixture_names())
+        assert "octahedron" in lines[0]
 
 
 def test_cli_construct_names_the_complex_by_its_parameters(capsys):
@@ -403,6 +409,17 @@ def test_cli_verify_rejects_small_max_n_before_any_output(capsys, max_n):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "at least 3" in err
+
+
+@pytest.mark.parametrize("suite", ["rank-selection", "all"])
+def test_cli_verify_rejects_a_repeated_field(capsys, suite):
+    # the same field twice would report every case of that field twice
+    assert main(["verify", suite, "--field", "q", "--field", "f2",
+                 "--field", "Q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "field Q is given more than once" in err
 
 
 def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):

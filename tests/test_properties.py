@@ -267,7 +267,7 @@ def test_cached_reports_match_cold_reports():
     from bstar.homology import _cache
     from bstar.suites import _random_pure_corpus
     complexes = [e.complex for e in corpus()]
-    complexes += [cx for _, cx in _random_pure_corpus(0, 40, 7)]
+    complexes += [e.complex for e in _random_pure_corpus(0, 40, 7)]
     calls = [(pred, c, f) for c in complexes for f in (QQ, GF2, GF3)
              for pred in _DIFF_PREDICATES]
     warm = [pred(c, f) for pred, c, f in calls]

@@ -10,11 +10,12 @@ import pytest
 
 import bstar
 import bstar.cli
-from bstar import (GF2, GF3, QQ, InfeasibleParameterError, InvariantError,
+from bstar import (GF, GF2, GF3, QQ, InfeasibleParameterError, InvariantError,
                    UnknownSuiteError, __version__, build, clear_caches,
                    corpus, explore_question, random_balanced_complex,
                    random_pure_complex, run_suite, suite_names)
 from bstar import suites
+from bstar.linalg import _depends_on_field
 from bstar.suites import CorpusEntry
 
 from oracles import TORSION_FACETS, check_frozen_record
@@ -270,18 +271,58 @@ def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch,
 
 
 def _cases(*reports):
-    return sorted(((c.case_id, c.prop, c.field), c) for r in reports
-                  for c in r.cases)
+    return {c for r in reports for c in r.cases}
 
 
-@pytest.mark.parametrize("name", ["lemma-oracle", "hierarchy"])
-def test_three_fields_give_the_cases_of_three_single_field_runs(name):
-    joint = run_suite(name, fields=(QQ, GF2, GF3))
-    single = [run_suite(name, fields=(f,)) for f in (QQ, GF2, GF3)]
-    assert _cases(joint) == _cases(*single)
+def _mark_cases_over_fields(monkeypatch):
+    """Make every case that names a field depend on it: its ``got`` carries
+    the field, and making it moves the field-dependence counter, so that
+    the cases of one field may no longer stand for another's."""
+    real = suites._case
+
+    def case(case_id, prop, field_label, expected, got, witness=None):
+        if field_label != "-":
+            _depends_on_field()
+            got = (got, field_label)
+        return real(case_id, prop, field_label, expected, got, witness)
+
+    monkeypatch.setattr(suites, "_case", case)
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_three_fields_give_the_cases_of_three_single_field_runs(name,
+                                                                monkeypatch):
+    # a joint run reuses the first field's cases where no rank depended on
+    # the field; its cases are those of single-field runs either way, the
+    # cases given once (free of the field or pinned to Q) among them
+    fields = (QQ, GF2, GF3)
+    for marked in (False, True):
+        if marked:
+            _mark_cases_over_fields(monkeypatch)
+        clear_caches()
+        joint = run_suite(name, fields=fields)
+        keys = [(c.case_id, c.prop, c.field) for c in joint.cases]
+        assert len(keys) == len(set(keys))
+        single = [run_suite(name, fields=(f,)) for f in fields]
+        assert _cases(joint) == _cases(*single)
+        once = _cases(run_suite(name, fields=()))
+        assert once == set.intersection(*map(_cases, single))
+        clear_caches()
+        assert _cases(run_suite(name, fields=(GF2, QQ))) == _cases(*single[:2])
     clear_caches()
-    assert _cases(run_suite(name, fields=(GF2, QQ))) == _cases(*single[:2])
-    assert run_suite(name, fields=()).cases == []
+
+
+def test_orientability_runs_the_fields_it_is_given():
+    only_q = run_suite("orientability-rp2", fields=(QQ,))
+    assert only_q.fields == ("Q",) and only_q.passed
+    assert {c.field for c in only_q.cases} == {"Q"}
+    f5 = run_suite("orientability-rp2", fields=(GF(5),))
+    assert f5.passed and {c.field for c in f5.cases} == {"Q", "F5"}
+    assert [(c.expected, c.got) for c in f5.cases
+            if c.prop == "buchsbaum_star"] == [("False", "False")]
+    assert run_suite("orientability-rp2").fields == ("F2", "Q", "F3")
+    with pytest.raises(ValueError, match="field F2 is given more than once"):
+        run_suite("orientability-rp2", fields=(GF2, QQ, GF2))
 
 
 def test_torsion_complexes_are_computed_per_field(monkeypatch):
