@@ -37,15 +37,27 @@ def _check_label(raw, where: str):
     return raw
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {key!r} is given twice in one object")
+    return obj
+
+
 def parse_text(text: str, source: str = "<string>") -> ComplexFile:
     """Parse a complex document from a JSON string."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ComplexFileError(
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ComplexFileError(f"{source}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        raise ComplexFileError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ComplexFileError(f"{source}: top level must be an object")
     if "facets" not in doc or not isinstance(doc["facets"], list):
@@ -67,12 +79,10 @@ def parse_text(text: str, source: str = "<string>") -> ComplexFile:
         raw = doc["coloring"]
         if not isinstance(raw, dict):
             raise ComplexFileError(f"{source}: \"coloring\" must be a mapping")
-        vertex_set = set(cx.vertices)
+        vertices = {str(v): v for v in cx.vertices}  # the keys emit writes
         assignment = {}
         for key, color in raw.items():
-            vertex = key if key in vertex_set else None
-            if vertex is None and key.lstrip("-").isdigit() and int(key) in vertex_set:
-                vertex = int(key)
+            vertex = vertices.get(key)
             if vertex is None:
                 raise ComplexFileError(
                     f"{source}: coloring names unknown vertex {key!r}")

@@ -105,6 +105,17 @@ def _store(key, value):
         return _cache.setdefault(key, value)
 
 
+def _in_order(compute, args: tuple, named: dict) -> tuple:
+    """``args`` and then ``named`` in the parameter order of ``compute``,
+    which has no defaults: ``named`` must give every parameter after them."""
+    code = compute.__code__
+    rest = code.co_varnames[1 + len(args):code.co_argcount]
+    if named.keys() != set(rest):
+        raise TypeError(f"{compute.__name__}() takes the arguments "
+                        f"{', '.join(code.co_varnames[:code.co_argcount])}")
+    return args + tuple(named[name] for name in rest)
+
+
 def _memo(kind: str):
     """Cache ``compute(c, *args)`` under ``(kind, c.index_form, *args)``,
     a field argument being the interned :class:`CoefficientField` itself.
@@ -114,13 +125,13 @@ def _memo(kind: str):
     def decorate(compute):
         @functools.wraps(compute)
         def memo(c: Complex, *args, **named):
-            key = (kind, c.index_form) + args
             if named:
-                key += tuple(named.values())
+                args = _in_order(compute, args, named)
+            key = (kind, c.index_form) + args
             value = _cache.get(key)
             if value is None:
                 before = _field_dependence()
-                value = compute(c, *args, **named)
+                value = compute(c, *args)
                 value = _store(key, value if _field_dependence() == before
                                else _FieldDependent(value))
             if type(value) is _FieldDependent:

@@ -31,7 +31,8 @@ import functools
 import itertools
 
 from .complexes import Complex, NotPureError, Record, build, label_key
-from .homology import _memo, reduced_betti, top_restriction_surjective
+from .homology import (_in_order, _memo, reduced_betti,
+                       top_restriction_surjective)
 from .linalg import CoefficientField, InvariantError
 
 
@@ -173,7 +174,9 @@ def _memoised(prop: str):
                                                 c._positions().__getitem__)
 
         @functools.wraps(compute)
-        def predicate(c: Complex, *args) -> PropertyReport:
+        def predicate(c: Complex, *args, **named) -> PropertyReport:
+            if named:
+                args = _in_order(compute, args, named)
             verdict, witness = positioned(c, *args)
             return _report(prop, args[-1], verdict,
                            _map_witness(witness, c.vertices.__getitem__))

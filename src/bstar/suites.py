@@ -2,18 +2,20 @@
 toolkit is expected to certify, plus the random-complex generators and the
 empirical explorer for the open lower-bound question.
 
-A suite declares three things: its inputs (corpus ids, or a function of
-the seed and ``max_n`` returning CorpusEntry items), the cases it gives
-once for an input, which name no field ("-") or are pinned to Q, and the
-cases it gives for an input over one field.  ``run_suite`` alone applies
-the declarations.  It rejects a field given twice.  For each input it
-takes the once-cases, then the cases over every field through
-``_for_every_field``: computed over the first field, and over the others
-only when some rank on the way depended on the field, as torsion makes it
-do (``rp2_min`` has 2-torsion); otherwise the first field's cases are
-copied.  It sorts the case records by (case id, property, field), so
-reports are independent of execution order; the JSON and text renderings
-contain identical verdicts.
+A suite declares its inputs and its claims.  The inputs map corpus ids
+to the parameter the claims read, such as the m of an extremal join.  A
+claim is a function of one input, ``(complex, coloring, parameter)``,
+giving the cases that name no field ("-") or are pinned to Q, or of that
+input and a field, giving the cases over it.  No claim reads an input's
+id: ``run_suite`` alone forms each case id, ``cid`` (for the claim's
+case id "") or ``cid|suffix``.  It rejects a field given twice.  For
+each input it takes the once-cases, then the cases over every field
+through ``_for_every_field``: computed over the first field, and over
+the others only when some rank on the way depended on the field, as
+torsion makes it do (``rp2_min`` has 2-torsion); otherwise the first
+field's cases are copied.  It sorts the case records by (case id,
+property, field), so reports are independent of execution order; the
+JSON and text renderings contain identical verdicts.
 
 ``lemma-oracle`` and ``hierarchy``, the two costliest suites, are dealt:
 ``run_suite`` shares their inputs over the usable CPUs, the calling
@@ -133,11 +135,8 @@ def random_balanced_complex(seed: int, max_vertices: int = 8):
     sizes = [rng.randint(1, 3) for _ in range(d)]
     while sum(sizes) > max_vertices:
         sizes[sizes.index(max(sizes))] -= 1
-    classes = []
-    start = 0
-    for s in sizes:
-        classes.append(list(range(start, start + s)))
-        start += s
+    starts = itertools.accumulate(sizes, initial=0)
+    classes = [list(range(a, a + s)) for a, s in zip(starts, sizes)]
     pool = list(itertools.product(*classes))
     count = rng.randint(1, min(len(pool), 10))
     cx = build(rng.sample(pool, count))
@@ -167,54 +166,32 @@ class CorpusEntry(Record):
     __slots__ = ("cid", "complex", "coloring")
 
 
-_corpus_cache: list = []
+_corpus_cache: dict = {}  # corpus id -> CorpusEntry, in corpus order
+
+
+def _corpus() -> dict:
+    if not _corpus_cache:
+        fixtures = map(fixture, fixture_names())
+        entries = [(f.name, f.complex, f.coloring) for f in fixtures]
+        entries += [(f"cross_polytope({d})", *cross_polytope(d))
+                    for d in (2, 4)]
+        entries += [(f"scps({n},{d})", *stacked_cross_polytopal_sphere(n, d))
+                    for n, d in ((9, 3), (12, 3), (12, 4), (8, 4))]
+        entries += [("P(3,3)", *multi_point_join_colored(3, 3)),
+                    ("S(2,2,3)", skeleton_join_sphere(2, 2, 4), None),
+                    ("simplex_boundary(3)", simplex_boundary(3), None)]
+        _corpus_cache.update((cid, CorpusEntry(cid, *rest))
+                             for cid, *rest in entries)
+    return _corpus_cache
 
 
 def corpus() -> list:
     """Fixtures plus the constructed families used across the suites."""
-    if _corpus_cache:
-        return list(_corpus_cache)
-    entries = []
-    for name in fixture_names():
-        f = fixture(name)
-        entries.append(CorpusEntry(name, f.complex, f.coloring))
-    for d in (2, 4):
-        cx, col = cross_polytope(d)
-        entries.append(CorpusEntry(f"cross_polytope({d})", cx, col))
-    for n, d in ((9, 3), (12, 3), (12, 4), (8, 4)):
-        cx, col = stacked_cross_polytopal_sphere(n, d)
-        entries.append(CorpusEntry(f"scps({n},{d})", cx, col))
-    p33, p33_col = multi_point_join_colored(3, 3)
-    entries.append(CorpusEntry("P(3,3)", p33, p33_col))
-    entries.append(CorpusEntry("S(2,2,3)", skeleton_join_sphere(2, 2, 4),
-                               None))
-    entries.append(CorpusEntry("simplex_boundary(3)", simplex_boundary(3),
-                               None))
-    _corpus_cache.extend(entries)
-    return list(entries)
+    return list(_corpus().values())
 
 
 def _entry(cid: str) -> CorpusEntry:
-    for e in corpus():
-        if e.cid == cid:
-            return e
-    raise KeyError(cid)
-
-
-# Balanced Buchsbaum-star fixtures used by the rank-selection suites.
-BALANCED_BSTAR_IDS = (
-    "cross_polytope(2)", "octahedron", "cross_polytope(4)",
-    "scps(9,3)", "scps(12,4)", "k33", "P(3,3)",
-)
-
-# Connected balanced Buchsbaum-star fixtures of dimension >= 2 (d >= 3).
-BALANCED_BSTAR_D3_IDS = (
-    "octahedron", "cross_polytope(4)", "scps(9,3)", "scps(12,3)",
-    "scps(12,4)", "scps(8,4)", "P(3,3)", "suspended_hexagon",
-)
-
-# d >= 4 members for the h_3 bound.
-BALANCED_BSTAR_D4_IDS = ("cross_polytope(4)", "scps(12,4)", "scps(8,4)")
+    return _corpus()[cid]
 
 
 def _binomial_power(m: int, d: int) -> tuple:
@@ -226,12 +203,8 @@ def _stacked_f_formula(n: int, d: int) -> tuple:
     """Inclusion-exclusion f-vector of the stacked cross-polytopal sphere:
     c copies of the cross polytope, c-1 identified facets."""
     c = n // d - 1
-    g = c - 1
-    f = [1]
-    for j in range(d - 1):
-        f.append(c * comb(d, j + 1) * 2 ** (j + 1) - g * comb(d, j + 1))
-    f.append(c * 2 ** d - 2 * g)
-    return tuple(f)
+    return (1, *(comb(d, k) * (c * 2 ** k - (c - 1)) for k in range(1, d)),
+            c * 2 ** d - 2 * (c - 1))
 
 
 # -- one complex per core, computed once for every field --------------------
@@ -255,9 +228,9 @@ def _for_every_field(fields, cases_over) -> list:
                     for f in fields[1:] for c in first]
 
 
-def _face_count(entry) -> int:
-    """The work of both dealt suites grows with the faces of a complex."""
-    return sum(map(len, entry.complex.face_table()))
+def _face_count(item) -> int:
+    """The faces of an input's complex: the work of both dealt suites."""
+    return sum(map(len, item[0].complex.face_table()))
 
 
 def _dealt(items, work, cost) -> list:
@@ -347,7 +320,7 @@ def _child(write, work, items):
 
 # -- suites -------------------------------------------------------------------
 #
-# The claims below call the predicates through this module's globals, never
+# The claims call the predicates through this module's globals, never
 # through a default argument or a closure, so that whatever rebinds them
 # here (a tracer, a test's spy) sees every call.
 
@@ -356,7 +329,7 @@ def _verdict(case_id, prop, field_label, report, expected=True):
                  report.witness)
 
 
-def _no_cases(*entry_and_field) -> list:
+def _no_cases(*input_and_field) -> list:
     return []
 
 
@@ -367,68 +340,67 @@ def _balanced_inputs(seed, max_n) -> list:
               for k in range(50))]
 
 
-def _stanley(e) -> list:
+def _stanley(cx, coloring, _) -> list:
     """h_j is the sum of h_j over the rank selections to j colours."""
-    colors = range(1, e.coloring.d + 1)
-    sums = [sum(h_vector(rank_selected(e.complex, e.coloring, s))[size]
+    colors = range(1, coloring.d + 1)
+    sums = [sum(h_vector(rank_selected(cx, coloring, s))[size]
                 for s in itertools.combinations(colors, size))
             for size in range(len(colors) + 1)]
-    return [_case(e.cid, "rank_selection_h_identity", "-",
-                  list(h_vector(e.complex)), sums)]
+    return [_case("", "rank_selection_h_identity", "-",
+                  list(h_vector(cx)), sums)]
 
 
-def _rank_selection(e, f) -> list:
+def _rank_selection(cx, coloring, _, f) -> list:
     """Rank selection to proper sets of colours keeps Buchsbaum-star."""
-    colors = range(1, e.coloring.d + 1)
-    return [_verdict(f"{e.cid}|S={list(s)}", "buchsbaum_star", f.label,
-                     is_buchsbaum_star(
-                         rank_selected(e.complex, e.coloring, s), f))
+    colors = range(1, coloring.d + 1)
+    return [_verdict(f"S={list(s)}", "buchsbaum_star", f.label,
+                     is_buchsbaum_star(rank_selected(cx, coloring, s), f))
             for size in range(1, len(colors))
             for s in itertools.combinations(colors, size)]
 
 
-def _m_rank_selection(e, f) -> list:
-    """Rank selection to two colours preserves 2-Buchsbaum-star."""
-    colors = range(1, e.coloring.d + 1)
-    return [_verdict(f"{e.cid}|S={list(s)}|m=2", "m_buchsbaum_star", f.label,
-                     is_m_buchsbaum_star(
-                         rank_selected(e.complex, e.coloring, s), 2, f))
+def _m_rank_selection(cx, coloring, m, f) -> list:
+    """Rank selection to two colours preserves m-Buchsbaum-star."""
+    colors = range(1, coloring.d + 1)
+    return [_verdict(f"S={list(s)}|m={m}", "m_buchsbaum_star", f.label,
+                     is_m_buchsbaum_star(rank_selected(cx, coloring, s), m, f))
             for s in itertools.combinations(colors, 2)]
 
 
-def _lower_bound(cid, h, i) -> CaseRecord:
+def _lower_bound(h, i) -> CaseRecord:
     d = len(h) - 1
     lhs, rhs = d * h[i], comb(d, i) * h[1]
-    return _case(f"{cid}|d*h{i}>=C(d,{i})*h1", "lower_bound", "-",
+    return _case(f"d*h{i}>=C(d,{i})*h1", "lower_bound", "-",
                  True, lhs >= rhs, f"{lhs} vs {rhs}")
 
 
-def _balanced_lbt(e) -> list:
-    """d*h2 >= C(d,2)*h1, with equality on stacked spheres."""
-    cid, cx = e.cid, e.complex
+def _balanced_lbt(cx, coloring, expects) -> list:
+    """d*h2 >= C(d,2)*h1.  ``expects`` names the input's further cases:
+    ``equality`` (a stacked sphere attains the bound), ``strict`` and
+    ``f_formula`` (the f-vector of a stacked cross-polytopal sphere)."""
     h, fv = h_vector(cx), f_vector(cx)
     n, d = cx.n_vertices, len(h) - 1
-    cases = [_verdict(f"{cid}|hypothesis", "buchsbaum_star", "Q",
-                      is_buchsbaum_star(cx, QQ)), _lower_bound(cid, h, 2)]
-    if cid in ("scps(9,3)", "scps(12,4)"):
-        cases.append(_case(f"{cid}|equality", "lower_bound_equality", "-",
+    stacked = _stacked_f_formula(n, d)
+    cases = [_verdict("hypothesis", "buchsbaum_star", "Q",
+                      is_buchsbaum_star(cx, QQ)), _lower_bound(h, 2)]
+    if "equality" in expects:
+        cases.append(_case("equality", "lower_bound_equality", "-",
                            comb(d, 2) * h[1], d * h[2]))
-    if cid == "P(3,3)":
-        cases.append(_case(f"{cid}|strict", "lower_bound_strict", "-",
+    if "strict" in expects:
+        cases.append(_case("strict", "lower_bound_strict", "-",
                            True, d * h[2] > comb(d, 2) * h[1]))
+    if "f_formula" in expects:
+        cases.append(_case("f_formula", "f_vector", "-",
+                           list(stacked), list(fv)))
     if n % d == 0:
-        stacked = _stacked_f_formula(n, d)
-        if cid in ("scps(9,3)", "scps(12,3)", "scps(8,4)"):
-            cases.append(_case(f"{cid}|f_formula", "f_vector", "-",
-                               list(stacked), list(fv)))
-        cases.append(_case(f"{cid}|f>=stacked", "f_vector_bound", "-",
+        cases.append(_case("f>=stacked", "f_vector_bound", "-",
                            True, poly_geq(fv, stacked)))
     return cases
 
 
-def _h3_bound(e) -> list:
+def _h3_bound(cx, coloring, _) -> list:
     """d*h3 >= C(d,3)*h1 for d >= 4."""
-    return [_lower_bound(e.cid, h_vector(e.complex), 3)]
+    return [_lower_bound(h_vector(cx), 3)]
 
 
 def _pure_inputs(seed, max_n) -> list:
@@ -436,78 +408,70 @@ def _pure_inputs(seed, max_n) -> list:
             + _random_pure_corpus(seed, 100, max_n or 8))
 
 
-def _swartz(e) -> list:
+def _swartz(cx, coloring, _) -> list:
     """Short simplicial h-number identity."""
-    h = h_vector(e.complex)
+    h = h_vector(cx)
     expected = [j * h[j] + (len(h) - j) * h[j - 1] for j in range(1, len(h))]
-    return [_case(e.cid, "short_h_identity", "-", expected,
-                  list(short_simplicial_h(e.complex)))]
+    return [_case("", "short_h_identity", "-", expected,
+                  list(short_simplicial_h(cx)))]
 
 
-# m for the joins of d copies of m + 1 points, where (1 + m t)^d is attained
-_EXTREMAL_M = {"k33": 2, "P(3,3)": 2, "octahedron": 1}
-
-
-def _flag_bound(e, f) -> list:
-    """The flag h'-bound (1 + m t)^d holds with equality at the joins."""
-    if e.cid not in _EXTREMAL_M:
+def _flag_bound(cx, coloring, m, f) -> list:
+    """The join of d copies of m + 1 points attains the flag h'-bound
+    (1 + m t)^d; m is None for an input that exceeds it."""
+    if m is None:
         return []
-    bound = _binomial_power(_EXTREMAL_M[e.cid], e.complex.dim + 1)
-    return [_case(f"{e.cid}|h_prime", "h_prime_extremal", f.label,
-                  list(bound), list(h_prime_vector(e.complex, f)))]
+    return [_case("h_prime", "h_prime_extremal", f.label,
+                  list(_binomial_power(m, cx.dim + 1)),
+                  list(h_prime_vector(cx, f)))]
 
 
-def _suspended_hexagon(e) -> list:
-    """A flag Buchsbaum-star complex exceeds the bound strictly."""
-    if e.cid != "suspended_hexagon":
+def _strict_flag_bound(cx, coloring, m) -> list:
+    """A flag Buchsbaum-star complex other than a cross-polytope (m None)
+    exceeds the bound (1 + t)^d strictly."""
+    if m is not None:
         return []
-    cid, cx = e.cid, e.complex
     hp, bound = h_prime_vector(cx, QQ), _binomial_power(1, cx.dim + 1)
     versus = f"{hp} vs {bound}"
-    octahedron = _entry("octahedron").complex
-    return [
-        _case(f"{cid}|flag", "flag", "-", True, cx.is_flag),
-        _verdict(f"{cid}|buchsbaum_star", "buchsbaum_star", "Q",
-                 is_buchsbaum_star(cx, QQ)),
-        _case(f"{cid}|h_prime>=bound", "poly_geq", "Q",
-              True, poly_geq(hp, bound), versus),
-        _case(f"{cid}|strict_excess", "poly_gt", "Q",
-              True, hp != bound and poly_geq(hp, bound), versus),
-        _case(f"{cid}|not_cross_polytope", "nonextremal", "-",
-              True, cx.n_vertices != octahedron.n_vertices)]
+    return [_case("flag", "flag", "-", True, cx.is_flag),
+            _verdict("buchsbaum_star", "buchsbaum_star", "Q",
+                     is_buchsbaum_star(cx, QQ)),
+            _case("h_prime>=bound", "poly_geq", "Q",
+                  True, poly_geq(hp, bound), versus),
+            _case("strict_excess", "poly_gt", "Q",
+                  True, hp != bound and poly_geq(hp, bound), versus),
+            _case("not_cross_polytope", "nonextremal", "-",
+                  True, cx.n_vertices != 2 * (cx.dim + 1))]
 
 
-def _euler_bound(e) -> list:
+def _euler_bound(cx, coloring, m) -> list:
     """The bound (-1)^(d-1) chi~ >= m^d is attained at the joins."""
-    d = e.complex.dim + 1
-    return [_case(f"{e.cid}|(-1)^(d-1)chi", "euler_bound", "-",
-                  _EXTREMAL_M[e.cid] ** d,
-                  (-1) ** (d - 1) * reduced_euler_characteristic(e.complex))]
+    d = cx.dim + 1
+    return [_case("(-1)^(d-1)chi", "euler_bound", "-", m ** d,
+                  (-1) ** (d - 1) * reduced_euler_characteristic(cx))]
 
 
-def _euler_from_betti(e, f) -> list:
-    return [_case(f"{e.cid}|chi_consistency", "euler_from_betti", f.label,
-                  reduced_euler_characteristic(e.complex),
-                  reduced_betti(e.complex, f).chi_reduced())]
+def _euler_from_betti(cx, coloring, _, f) -> list:
+    return [_case("chi_consistency", "euler_from_betti", f.label,
+                  reduced_euler_characteristic(cx),
+                  reduced_betti(cx, f).chi_reduced())]
 
 
-def _homology_manifold(e) -> list:
-    return [_verdict(f"{e.cid}|homology_manifold", "homology_manifold", "Q",
-                     is_homology_manifold(e.complex, QQ))]
+def _homology_manifold(cx, coloring, _) -> list:
+    return [_verdict("homology_manifold", "homology_manifold", "Q",
+                     is_homology_manifold(cx, QQ))]
 
 
-def _rp2_buchsbaum_star(e, f) -> list:
-    """Buchsbaum-star over F2 only; elsewhere one vertex shows it fails."""
-    rep = is_buchsbaum_star(e.complex, f)
-    cases = [_verdict(f"{e.cid}|buchsbaum_star", "buchsbaum_star", f.label,
-                      rep, f.p == 2)]
-    if f.p != 2:
+def _star_in_characteristic(cx, coloring, p, f) -> list:
+    """Buchsbaum-star over F_p only; elsewhere one vertex shows it fails."""
+    rep = is_buchsbaum_star(cx, f)
+    cases = [_verdict("buchsbaum_star", "buchsbaum_star", f.label, rep,
+                      f.p == p)]
+    if f.p != p:
         w = rep.witness
         ok = (w is not None and w.kind == "surjectivity"
-              and len(w.data[0]) == 1
-              and revalidate_witness(e.complex, rep, f))
-        cases.append(_case(f"{e.cid}|witness_vertex", "witness", f.label,
-                           True, ok, w))
+              and len(w.data[0]) == 1 and revalidate_witness(cx, rep, f))
+        cases.append(_case("witness_vertex", "witness", f.label, True, ok, w))
     return cases
 
 
@@ -515,10 +479,10 @@ def _oracle_inputs(seed, max_n) -> list:
     return corpus() + _random_pure_corpus(seed, 100, max_n or 7)
 
 
-def _lemma_oracle(e, f) -> list:
+def _lemma_oracle(cx, coloring, _, f) -> list:
     """The first face whose contrastar and link homology disagree."""
-    return [_case(e.cid, "contrastar_link_shift", f.label, None,
-                  next(_link_shift_mismatches(e.complex, f), None))]
+    return [_case("", "contrastar_link_shift", f.label, None,
+                  next(_link_shift_mismatches(cx, f), None))]
 
 
 def _link_shift_mismatches(cx, f):
@@ -531,26 +495,24 @@ def _link_shift_mismatches(cx, f):
                     yield tau, i, rel[i], link[i - len(tau)]
 
 
-def _hierarchy(e, f) -> list:
+def _hierarchy(cx, coloring, _, f) -> list:
     """Buchsbaum-star consequences; conditions (b) and (c) agree."""
     cases = []
-    cx = e.complex
     star = is_buchsbaum_star(cx, f)
     if star.verdict:
         if cx.dim >= 1:
             betti = reduced_betti(cx, f)
-            cases.append(_case(f"{e.cid}|top_betti", "nonzero_top",
-                               f.label, True, betti[cx.dim] >= 1))
+            cases.append(_case("top_betti", "nonzero_top", f.label, True,
+                               betti[cx.dim] >= 1))
             links_ok = all(is_m_cm(cx.link((v,)), 2, f).verdict
                            for v in cx.vertices)
-            cases.append(_case(f"{e.cid}|links_2cm", "two_cm_links",
-                               f.label, True, links_ok))
-        cases.append(_verdict(f"{e.cid}|doubly", "doubly_buchsbaum", f.label,
+            cases.append(_case("links_2cm", "two_cm_links", f.label, True,
+                               links_ok))
+        cases.append(_verdict("doubly", "doubly_buchsbaum", f.label,
                               is_doubly_buchsbaum(cx, f)))
     elif star.witness is not None:
-        cases.append(_case(f"{e.cid}|witness_sound", "witness", f.label,
-                           True, revalidate_witness(cx, star, f),
-                           star.witness))
+        cases.append(_case("witness_sound", "witness", f.label, True,
+                           revalidate_witness(cx, star, f), star.witness))
     if is_buchsbaum(cx, f).verdict:
         faces = [tau for tau in cx.faces_sorted() if tau]
         all_c = all(top_restriction_surjective(cx, tau, f) for tau in faces)
@@ -558,18 +520,18 @@ def _hierarchy(e, f) -> list:
                     for tau in faces
                     for k in range(len(tau) + 1)
                     for sigma in itertools.combinations(tau, k))
-        cases.append(_case(f"{e.cid}|b_iff_c", "conditions_b_c",
-                           f.label, all_c, all_b))
+        cases.append(_case("b_iff_c", "conditions_b_c", f.label, all_c,
+                           all_b))
     return cases
 
 
 class _Suite:
-    """A suite as ``run_suite`` applies it.  ``inputs`` holds corpus ids,
-    or is a function of (seed, max_n) returning CorpusEntry items.
-    ``once(entry)`` gives the cases free of the field ("-") or pinned to Q,
-    ``over(entry, field)`` the cases over that field.  ``fields`` are the
-    fields run when the caller names none; a ``dealt`` suite's inputs are
-    dealt over the CPUs."""
+    """A suite as ``run_suite`` applies it.  ``inputs`` maps corpus ids to
+    the parameter the claims read, or is a function of (seed, max_n)
+    returning CorpusEntry items, whose parameter is None.  The claims
+    ``once(complex, coloring, parameter)`` and ``over(complex, coloring,
+    parameter, field)`` give cases with ids relative to the input.
+    ``fields`` run when none are named; ``dealt`` inputs go over the CPUs."""
 
     __slots__ = ("inputs", "once", "over", "fields", "dealt")
 
@@ -581,22 +543,35 @@ class _Suite:
 
 _SUITES = {
     "stanley-hnums": _Suite(_balanced_inputs, once=_stanley),
-    "rank-selection": _Suite(BALANCED_BSTAR_IDS, over=_rank_selection),
-    "m-rank-selection": _Suite(("P(3,3)",), over=_m_rank_selection),
-    "balanced-lbt": _Suite(BALANCED_BSTAR_D3_IDS, once=_balanced_lbt),
-    "h3-bound": _Suite(BALANCED_BSTAR_D4_IDS, once=_h3_bound),
+    "rank-selection": _Suite(dict.fromkeys((
+        "cross_polytope(2)", "octahedron", "cross_polytope(4)", "scps(9,3)",
+        "scps(12,4)", "k33", "P(3,3)")), over=_rank_selection),
+    "m-rank-selection": _Suite({"P(3,3)": 2}, over=_m_rank_selection),
+    # which further cases of _balanced_lbt each input expects
+    "balanced-lbt": _Suite({
+        "octahedron": (), "cross_polytope(4)": (),
+        "scps(9,3)": ("equality", "f_formula"), "scps(12,3)": ("f_formula",),
+        "scps(12,4)": ("equality",), "scps(8,4)": ("f_formula",),
+        "P(3,3)": ("strict",), "suspended_hexagon": ()}, once=_balanced_lbt),
+    "h3-bound": _Suite(dict.fromkeys(("cross_polytope(4)", "scps(12,4)",
+                                      "scps(8,4)")), once=_h3_bound),
     "swartz-identity": _Suite(_pure_inputs, once=_swartz),
-    "flag-lower-bound": _Suite((*_EXTREMAL_M, "suspended_hexagon"),
-                               once=_suspended_hexagon, over=_flag_bound),
-    "euler-corollary": _Suite(("k33", "P(3,3)"), once=_euler_bound,
+    # m of the joins of d copies of m + 1 points, where (1 + m t)^d is
+    # attained, and None for a flag complex that exceeds (1 + t)^d
+    "flag-lower-bound": _Suite({"k33": 2, "P(3,3)": 2, "octahedron": 1,
+                                "suspended_hexagon": None},
+                               once=_strict_flag_bound, over=_flag_bound),
+    "euler-corollary": _Suite({"k33": 2, "P(3,3)": 2}, once=_euler_bound,
                               over=_euler_from_betti),
-    "orientability-rp2": _Suite(("rp2_min",), once=_homology_manifold,
-                                over=_rp2_buchsbaum_star,
+    # the characteristic of the only fields where rp2_min is Buchsbaum-star
+    "orientability-rp2": _Suite({"rp2_min": 2}, once=_homology_manifold,
+                                over=_star_in_characteristic,
                                 fields=(GF2, QQ, GF3)),
     "lemma-oracle": _Suite(_oracle_inputs, over=_lemma_oracle, dealt=True),
     "hierarchy": _Suite(lambda seed, max_n: corpus(), over=_hierarchy,
                         dealt=True),
 }
+
 
 def suite_names() -> list:
     return sorted(_SUITES)
@@ -618,15 +593,22 @@ def run_suite(name: str, fields=None, seed: int = 0,
         raise ValueError(f"field {max(labels, key=labels.count)} "
                          f"is given more than once")
     start = time.perf_counter()
-    inputs = suite.inputs
-    items = inputs(seed, max_n) if callable(inputs) else [*map(_entry, inputs)]
+    items = ([(entry, None) for entry in suite.inputs(seed, max_n)]
+             if callable(suite.inputs) else
+             [(_entry(cid), p) for cid, p in suite.inputs.items()])
 
-    def work(entry):
-        return suite.once(entry) + _for_every_field(
-            fields, lambda f: suite.over(entry, f))
+    def work(item):
+        entry, parameter = item
+        args, cid = (entry.complex, entry.coloring, parameter), entry.cid
+
+        def under(cases):  # prefixed before _for_every_field copies them
+            return [CaseRecord(f"{cid}|{c.case_id}" if c.case_id else cid,
+                               *c._values()[1:]) for c in cases]
+        return under(suite.once(*args)) + _for_every_field(
+            fields, lambda f: under(suite.over(*args, f)))
 
     cases = (_dealt(items, work, _face_count) if suite.dealt
-             else [case for entry in items for case in work(entry)])
+             else [case for item in items for case in work(item)])
     duration = time.perf_counter() - start
     cases.sort(key=lambda c: (c.case_id, c.prop, c.field))
     return SuiteReport(name, __version__, labels, seed, max_n,
@@ -679,20 +661,12 @@ def explore_question(m: int, i: int, d: int, n_max: int = 9, seed: int = 0,
     cases.append(_case(f"no_violation|checked={checked}", "h_poly_bound",
                        field.label, True, True))
     cases = sorted(cases, key=lambda c: c.case_id)
-    duration = time.perf_counter() - start
-    return SuiteReport(
-        suite=f"explore(m={m},i={i},d={d})",
-        version=__version__,
-        fields=(field.label,),
-        seed=seed,
-        max_n=n_max,
-        passed=all(c.passed for c in cases),
-        duration_s=duration,
-        cases=cases,
-        notes=(f"target h = {h_target} from the skeleton-join sphere",
-               "empirical probe only; the question is not resolved"),
-        incomplete=incomplete,
-    )
+    notes = (f"target h = {h_target} from the skeleton-join sphere",
+             "empirical probe only; the question is not resolved")
+    return SuiteReport(f"explore(m={m},i={i},d={d})", __version__,
+                       (field.label,), seed, n_max,
+                       all(c.passed for c in cases),
+                       time.perf_counter() - start, cases, notes, incomplete)
 
 
 def _nonempty_subsets(pool):

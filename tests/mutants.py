@@ -97,6 +97,13 @@ MUTANTS = {
         """    if workers < 2 or not hasattr(os, "fork"):""",
         (SUITES + "test_forked_and_serial_runs_give_identical_reports",),
     ),
+    "run_suite joins the input id and the case id without a bar": (
+        "suites.py",
+        """            return [CaseRecord(f"{cid}|{c.case_id}" if c.case_id else cid,""",
+        """            return [CaseRecord(f"{cid}{c.case_id}" if c.case_id else cid,""",
+        (SUITES + "test_suite_reports_are_byte_identical",
+         SUITES + "test_claims_read_no_corpus_id"),
+    ),
     "the CM fast path with its degree bound off by one": (
         "properties.py",
         """    if (not any(betti[i] for i in range(-1, c.dim))""",

@@ -75,6 +75,49 @@ def test_integer_coloring_keys_roundtrip(tmp_path):
     assert back.coloring.assignment == {1: 1, 2: 2, 3: 1}
 
 
+COLORING_KEY_FAULTS = [  # (coloring, the error after the source)
+    pytest.param('{"²": 1, "4": 2}', "coloring names unknown vertex '²'",
+                 id="superscript digit"),
+    pytest.param('{"03": 1, "4": 2}', "coloring names unknown vertex '03'",
+                 id="leading zero"),
+    pytest.param('{"٣": 1, "4": 2}', "coloring names unknown vertex '٣'",
+                 id="arabic-indic digit"),
+    pytest.param('{"3": 1, "03": 2, "4": 2}',
+                 "coloring names unknown vertex '03'",
+                 id="two keys for one vertex"),
+    pytest.param('{"3": 1, "4": 2, "3": 2}',
+                 "key '3' is given twice in one object", id="repeated key"),
+]
+
+
+@pytest.mark.parametrize("coloring, error", COLORING_KEY_FAULTS)
+def test_coloring_keys_name_int_vertices_as_emitted(coloring, error):
+    # an int vertex is named by str(vertex) alone, and only once
+    with pytest.raises(ComplexFileError) as err:
+        parse_text('{"facets": [[3, 4]], "coloring": %s}' % coloring,
+                   source="c.json")
+    assert str(err.value) == f"c.json: {error}"
+
+
+def test_string_vertices_are_named_by_themselves():
+    text = '{"facets": [["03", "٣"]], "coloring": {"03": 1, "٣": 2}}'
+    cf = parse_text(text)
+    assert cf.coloring.assignment == {"03": 1, "٣": 2}
+    assert parse_text(emit_text(cf)).coloring == cf.coloring
+
+
+@pytest.mark.parametrize("coloring, error", COLORING_KEY_FAULTS)
+def test_cli_coloring_key_fault_exit_2(tmp_path, capsys, coloring, error):
+    path = tmp_path / "c.json"
+    path.write_text('{"facets": [[3, 4]], "coloring": %s}' % coloring,
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["vectors", str(path)]) == 2
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err == f"error: {path}: {error}\n"
+
+
 def test_parse_field_strings():
     assert parse_field("q") is QQ
     assert parse_field("F2") is GF2

@@ -445,6 +445,26 @@ def test_relabelled_cross_polytope_stores_no_new_report_entry(pred):
     assert set(_cache) == stored
 
 
+@pytest.mark.parametrize("pred", [
+    is_cohen_macaulay, is_m_cm, is_buchsbaum, is_doubly_buchsbaum,
+    is_buchsbaum_star, is_m_buchsbaum_star, is_homology_manifold],
+    ids=lambda pred: pred.__name__)
+def test_keyword_and_positional_calls_share_one_entry(pred, octahedron):
+    # keywords, in any order, are keyed in parameter order
+    from bstar.homology import _cache
+    m = {"m": 2} if pred in (is_m_cm, is_m_buchsbaum_star) else {}
+    clear_caches()
+    by_keyword = pred(octahedron, field=GF2, **m)
+    stored = len(_cache)
+    assert pred(octahedron, *m.values(), GF2) == by_keyword
+    assert pred(octahedron, *m.values(), field=GF2) == by_keyword
+    assert len(_cache) == stored
+    with pytest.raises(TypeError, match="takes the arguments c, "):
+        pred(octahedron, *m.values(), GF2, field=GF2)
+    with pytest.raises(TypeError, match="takes the arguments c, "):
+        pred(octahedron, *m.values(), fields=GF2)
+
+
 def test_shared_nested_witnesses_are_in_the_queried_labels():
     # each report is computed on int labels, then read from the cache for
     # an order-preserving relabelling onto strs, and must equal the cold

@@ -168,6 +168,28 @@ def test_suite_reports_are_byte_identical():
     assert got == SUITE_DIGESTS
 
 
+def test_claims_read_no_corpus_id(monkeypatch):
+    # each claim is a function of one complex: with every corpus id
+    # renamed, each suite gives the same cases, their ids prefixed alike
+    entries = {e.cid: e for e in corpus()}
+    reports = {(name, seed): run_suite(name, seed=seed)
+               for name in suite_names() for seed in (0, 1)}
+
+    def renamed(entry):
+        return CorpusEntry("x-" + entry.cid, entry.complex, entry.coloring)
+
+    monkeypatch.setattr(suites, "corpus",
+                        lambda: [*map(renamed, entries.values())])
+    monkeypatch.setattr(suites, "_entry", lambda cid: renamed(entries[cid]))
+    for (name, seed), report in reports.items():
+        expected = [suites.CaseRecord(
+            "x-" + c.case_id if c.case_id.split("|")[0] in entries
+            else c.case_id, *(getattr(c, k) for k in CASE_KEYS[1:]))
+            for c in report.cases]
+        expected.sort(key=lambda c: (c.case_id, c.prop, c.field))
+        assert run_suite(name, seed=seed).cases == expected, (name, seed)
+
+
 # lemma-oracle and hierarchy run their second field in a forked child when
 # two CPUs are usable.  These tests report two usable CPUs, so the fork is
 # taken on a one-core host as well.
