@@ -114,20 +114,32 @@ def parse(path) -> ComplexFile:
 
 
 def emit_text(cf: ComplexFile) -> str:
-    """Canonical JSON rendering of a complex document."""
+    """Canonical JSON rendering of a complex document.  Raises
+    ComplexFileError if two colored vertices, such as 3 and "3", would be
+    written as the same coloring key, since the file could not tell them
+    apart."""
     doc: dict = {}
     if cf.name is not None:
         doc["name"] = cf.name
     doc["facets"] = [list(f) for f in cf.complex.facets]
     if cf.coloring is not None:
-        doc["coloring"] = {str(v): c
-                           for v, c in cf.coloring.as_sorted_dict().items()}
+        doc["coloring"] = coloring = {}
+        labels = {}   # key written -> the vertex it names
+        for v, c in cf.coloring.as_sorted_dict().items():
+            key = str(v)
+            if labels.setdefault(key, v) != v:
+                raise ComplexFileError(
+                    f"coloring: vertices {labels[key]!r} and {v!r} would "
+                    f"both be written as the key {key!r}")
+            coloring[key] = c
     if cf.metadata:
         doc["metadata"] = {k: cf.metadata[k] for k in sorted(cf.metadata)}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def emit(cf: ComplexFile, path) -> None:
-    """Write the canonical rendering to a file."""
+    """Write the canonical rendering to a file; a document emit_text
+    refuses leaves the file untouched."""
+    text = emit_text(cf)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_text(cf))
+        fh.write(text)

@@ -32,9 +32,11 @@ interned :class:`CoefficientField` itself.  The kinds are:
   (at sigma empty, the top cycle space): the int columns of
   :func:`bstar.linalg.kernel_basis`, its rows keyed by facet basis
   index;
-- ``nullity`` ``(c, tau, field)``: for the target face tau of a
-  restriction test, the basis indices of the facets containing tau and
-  the dimension of the quotient complex's top cycle space, from one rank;
+- ``sweep`` ``(c, field)``: for every non-empty face tau of a pure
+  complex, in face-table order, the basis indices of the ridges and the
+  facets containing tau, the dimension of the quotient complex's top
+  cycle space, and whether top homology maps onto it; each face's ridges
+  and facets are taken from those of the face without its last vertex;
 - one kind per predicate of :mod:`bstar.properties`, named after it
   (``cohen_macaulay``, ``m_cm`` with ``(c, m, field)``, ...): the verdict
   and the witness as vertex positions.
@@ -176,22 +178,28 @@ def _chain_data(c: Complex):
     """Boundary matrices over the integers and, per degree, the vertex
     bitmask of each basis face (bit i for the i-th vertex of c); the bases
     are the rows of the face table of c, so boundaries[j] maps degree-j
-    chains to degree-(j-1) chains in the order of ``c.faces_of_dim``."""
+    chains to degree-(j-1) chains in the order of ``c.faces_of_dim``.
+    Each boundary is built as its rows: dropping the k-th vertex of a face
+    gives the row, found by its mask, of the sign (-1)^k."""
     bases = c.face_table()
     bit = [1 << i for i in range(c.n_vertices)]
     masks = tuple(tuple(sum(map(bit.__getitem__, face)) for face in basis)
                   for basis in bases)
-    index = [{face: i for i, face in enumerate(b)} for b in bases]
     boundaries = []
     for degree in range(0, c.dim + 1):
-        cols = bases[degree + 1]
-        rows_idx = index[degree]
-        entries = {}
-        for j, face in enumerate(cols):
-            for drop in range(len(face)):
-                sub = face[:drop] + face[drop + 1:]
-                entries[(rows_idx[sub], j)] = 1 if drop % 2 == 0 else -1
-        boundaries.append(Matrix(len(bases[degree]), len(cols), entries))
+        row_of = {m: i for i, m in enumerate(masks[degree])}
+        rows: dict = {}
+        for j, (face, m) in enumerate(zip(bases[degree + 1], masks[degree + 1])):
+            sign = 1
+            for v in face:
+                i = row_of[m ^ bit[v]]
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = row = {}
+                row[j] = sign
+                sign = -sign
+        boundaries.append(Matrix._of_rows(len(bases[degree]),
+                                          len(bases[degree + 1]), rows))
     for j in range(1, len(boundaries)):
         if not boundaries[j - 1].matmul(boundaries[j]).is_zero:
             raise InvariantError(f"boundary of boundary is not zero in degree {j}")
@@ -260,70 +268,87 @@ def _betti_values(counts: dict, ranks: dict, top: int) -> tuple:
     return tuple(values)
 
 
-def _top_star(c: Complex, t: int) -> tuple:
-    """The top boundary matrix of c, and the basis indices of the ridges
-    (its rows) and of the facets (its columns) containing the face with
-    vertex bitmask t: the top boundary of the quotient complex at t is
-    that submatrix."""
+@_memo("sweep")
+def _sweep(c: Complex, field: CoefficientField) -> dict:
+    """The restriction test of Buchsbaum-star at every non-empty face tau
+    of a pure complex, keyed by vertex bitmask in face-table order: the
+    basis indices of the ridges and of the facets containing tau, the
+    dimension of the top cycle space Z_tau of the quotient complex at tau,
+    and whether top homology maps onto relative top homology at tau.
+
+    A vertex's ridges and facets come from one pass over all of them, and
+    a larger face takes those of the face without its last vertex that
+    contain the new one, so no face rescans every mask.  dim Z_tau is the
+    number of facets containing tau minus the rank of the top boundary's
+    rows at those ridges: a ridge containing tau has all its cofaces among
+    those facets, so the whole rows are the quotient's top boundary.
+    Relative top homology is Z_tau, and the map projects the top cycle
+    space onto the facets containing tau, into Z_tau; so it is onto
+    exactly when the projected basis of the top cycles has rank dim Z_tau.
+    """
+    if not c.vertices:
+        return {}
     boundaries, masks = _chain_data(c)
-    rows = [i for i, m in enumerate(masks[-2]) if m & t == t]
-    cols = [i for i, m in enumerate(masks[-1]) if m & t == t]
-    return boundaries[-1], rows, cols
+    top = boundaries[-1]
+    table = c.face_table()
+    ridge_masks, facet_masks = masks[-2], masks[-1]
+    ridges_at = [[] for _ in c.vertices]
+    facets_at = [[] for _ in c.vertices]
+    for at, basis in ((ridges_at, table[-2]), (facets_at, table[-1])):
+        for i, face in enumerate(basis):
+            for v in face:
+                at[v].append(i)
+    cycles = _source_cycles(c, 0, field)
+    sweep = {}
+    for faces, face_masks in zip(table[1:], masks[1:]):
+        for face, t in zip(faces, face_masks):
+            v = face[-1]
+            if len(face) == 1:
+                ridges, facets = ridges_at[v], facets_at[v]
+            else:
+                bit = 1 << v
+                ridges, facets, _, _ = sweep[t ^ bit]
+                ridges = [i for i in ridges if ridge_masks[i] & bit]
+                facets = [i for i in facets if facet_masks[i] & bit]
+            z_dim = len(facets) - rank(top.take_rows(ridges), field)
+            sweep[t] = (ridges, facets, z_dim, z_dim == 0 or rank(
+                cycles.take_rows(facets), field) == z_dim)
+    return sweep
 
 
 @_memo("rel_kernel")
 def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
     """A basis of the top cycles of the quotient complex at the face with
     vertex bitmask s (at s = 0, the top cycle space) as the int columns of
-    :func:`kernel_basis`, rows keyed by facet basis index."""
-    top, ridges, cols = _top_star(c, s)
+    :func:`kernel_basis`, rows keyed by facet basis index.  The ridges and
+    facets containing a non-empty face come from :func:`_sweep`."""
+    top = _chain_data(c)[0][-1]
+    if s:
+        ridges, cols, _, _ = _sweep(c, field)[s]
+    else:
+        ridges, cols = range(top.nrows), range(top.ncols)
     k = kernel_basis(top.submatrix(ridges, cols), field)
     return Matrix._of_rows(top.ncols, k.ncols,
                            {cols[i]: row for i, row in k.rows.items()})
-
-
-@_memo("nullity")
-def _target_nullity(c: Complex, t: int, field: CoefficientField) -> tuple:
-    """The basis indices of the facets containing the face with vertex
-    bitmask t, and the dimension of the relative top cycle space there:
-    the number of those facets minus the rank of the quotient complex's
-    top boundary.  That rank is of whole rows of the top boundary: a ridge
-    containing tau has all its cofaces among the facets containing tau."""
-    top, ridges, cols = _top_star(c, t)
-    return cols, len(cols) - rank(top.take_rows(ridges), field)
-
-
-def _restriction_surjective(c: Complex, s: int, t: int,
-                            field: CoefficientField) -> bool:
-    """Whether relative top homology at the face with vertex bitmask s
-    (0: absolute top homology) maps onto that at its superset t.
-
-    Relative top homology is the relative top cycle space Z, and the map
-    projects Z_s onto the facets containing t, into Z_t.  So it is onto
-    exactly when the projected basis of Z_s has rank dim Z_t, and by
-    rank-nullity dim Z_t = (facets containing t) - rank of the top
-    boundary of the quotient complex at t: only the source needs a basis.
-    """
-    rows_t, z_dim = _target_nullity(c, t, field)
-    if z_dim == 0:
-        return True
-    source = _source_cycles(c, s, field)
-    return rank(source.take_rows(rows_t), field) == z_dim
 
 
 def top_restriction_surjective(c: Complex, tau, field: CoefficientField) -> bool:
     """Whether top homology surjects onto the relative top homology at tau."""
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
-    return _restriction_surjective(c, 0, c.face_mask(tau, nonempty=True),
-                                   field)
+    t = c.face_mask(tau, nonempty=True)
+    return _sweep(c, field)[t][3]
 
 
 def pair_restriction_surjective(c: Complex, sigma, tau,
                                 field: CoefficientField) -> bool:
     """Whether the inclusion-induced map between the relative top homology
     at sigma and at tau is surjective (sigma a subset of tau; sigma empty
-    means the absolute top homology)."""
+    means the absolute top homology).
+
+    As for :func:`_sweep`, the map projects Z_sigma onto the facets
+    containing tau, into Z_tau, so it is onto exactly when the projected
+    basis of Z_sigma has rank dim Z_tau: only the source needs a basis."""
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
     s = c.canonical_face(sigma)
@@ -333,7 +358,11 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
     tm = c.face_mask(t)
     if s == t:
         return True
-    return _restriction_surjective(c, c.vertex_mask(s), tm, field)
+    _, facets, z_dim, onto = _sweep(c, field)[tm]
+    if not s or z_dim == 0:
+        return onto
+    source = _source_cycles(c, c.vertex_mask(s), field)
+    return rank(source.take_rows(facets), field) == z_dim
 
 
 # -- on-disk Betti cache -----------------------------------------------------

@@ -31,7 +31,7 @@ import functools
 import itertools
 
 from .complexes import Complex, NotPureError, Record, build, label_key
-from .homology import (_in_order, _memo, reduced_betti,
+from .homology import (_in_order, _memo, _sweep, reduced_betti,
                        top_restriction_surjective)
 from .linalg import CoefficientField, InvariantError
 
@@ -272,14 +272,14 @@ def is_doubly_buchsbaum(c: Complex, field: CoefficientField) -> PropertyReport:
 @_memoised("buchsbaum_star")
 def is_buchsbaum_star(c: Complex, field: CoefficientField) -> PropertyReport:
     """Buchsbaum with the top-homology restriction map surjective at every
-    non-empty face."""
+    non-empty face; the witness is the first face, in face-table order, of
+    the restriction sweep (:func:`bstar.homology._sweep`) where it is not."""
     base = is_buchsbaum(c, field)
     if not base.verdict:
         return _report("buchsbaum_star", field, False, base.witness)
-    for tau in c.faces_sorted():
-        if not tau:
-            continue
-        if not top_restriction_surjective(c, tau, field):
+    for t, (*_, onto) in _sweep(c, field).items():
+        if not onto:
+            tau = tuple(v for i, v in enumerate(c.vertices) if t >> i & 1)
             return _report("buchsbaum_star", field, False,
                            Witness("surjectivity", (tau,)))
     return _report("buchsbaum_star", field, True)

@@ -111,6 +111,16 @@ MUTANTS = {
         (PROPERTIES + "test_cm_disconnected_fails_with_witness",
          PROPERTIES + "test_cm_verdict_and_witness_match_the_plain_scan"),
     ),
+    "the restriction sweep keeps the parent's ridges and facets": (
+        "homology.py",
+        """                ridges = [i for i in ridges if ridge_masks[i] & bit]
+                facets = [i for i in facets if facet_masks[i] & bit]
+""",
+        "",
+        (HOMOLOGY + "test_sweep_matches_the_scan_at_every_face",
+         HOMOLOGY + "test_restriction_maps_match_rank_nullity_oracle",
+         SUITES + "test_suite_reports_are_byte_identical"),
+    ),
     "kernel_basis reduces F_p entries mod p": (
         "linalg.py",
         """        solved = {position[j]: -v * ratio for j, v in row.items() if j != lead}""",

@@ -10,7 +10,8 @@ genuine dual-route check.
 The matrix helpers at the end (identity, transpose, augment, span_dim,
 span_contains) are conveniences for the linalg tests, not oracles: they
 build on bstar's Matrix and rank.  So is ``check_frozen_record``, which the
-record tests share.
+record tests share, and so is ``scanned_top_star``, the per-face scan that
+the restriction sweep of bstar.homology replaced, kept as its reference.
 """
 
 import itertools
@@ -23,7 +24,8 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from bstar import Matrix, ShapeError, rank
+from bstar import Matrix, ShapeError, kernel_basis, rank
+from bstar.homology import _chain_data
 
 
 def _key(v):
@@ -408,3 +410,20 @@ def check_frozen_record(record, twin, hashable=True):
     with pytest.raises(AttributeError):
         delattr(record, name)
     assert getattr(record, name) == getattr(twin, name)
+
+
+def scanned_top_star(c, face, field):
+    """The restriction test at a non-empty face of a pure complex as it
+    was computed one face at a time: the ridges and the facets containing
+    the face, each scanned from every mask, dim Z by rank-nullity from the
+    rank of those whole ridge rows of the top boundary, and whether the
+    projected top cycle basis has that rank."""
+    boundaries, masks = _chain_data(c)
+    top = boundaries[-1]
+    t = c.vertex_mask(face)
+    ridges = [i for i, m in enumerate(masks[-2]) if m & t == t]
+    facets = [i for i, m in enumerate(masks[-1]) if m & t == t]
+    z_dim = len(facets) - rank(top.take_rows(ridges), field)
+    cycles = kernel_basis(top, field)   # rows keyed by facet basis index
+    onto = z_dim == 0 or rank(cycles.take_rows(facets), field) == z_dim
+    return ridges, facets, z_dim, onto

@@ -7,7 +7,8 @@ import itertools
 import json
 import time
 
-from bstar import build, parse_text, run_suite, stacked_cross_polytopal_sphere
+from bstar import (QQ, build, clear_caches, is_buchsbaum_star, parse_text,
+                   run_suite, stacked_cross_polytopal_sphere)
 from bstar.cli import main
 
 
@@ -150,3 +151,13 @@ def test_scale_stacked_cross_polytopal_sphere():
                           2.0, lambda: stacked_cross_polytopal_sphere(1500, 3))
     assert cx.n_vertices == 1500 and len(cx.facets) == 499 * 8 - 2 * 498
     assert len(coloring.assignment) == 1500
+
+
+def test_scale_buchsbaum_star_of_a_stacked_cross_polytopal_sphere():
+    # 3,590 non-empty faces: each takes its star from its parent's, so the
+    # restriction sweep never rescans every ridge and facet mask
+    cx, _ = stacked_cross_polytopal_sphere(600, 3)
+    clear_caches()
+    report = _timed("scale: is_buchsbaum_star of scps(600, 3) over Q", 1.0,
+                    lambda: is_buchsbaum_star(cx, QQ))
+    assert report.verdict

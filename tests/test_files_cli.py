@@ -118,6 +118,40 @@ def test_cli_coloring_key_fault_exit_2(tmp_path, capsys, coloring, error):
     assert out.err == f"error: {path}: {error}\n"
 
 
+def test_emit_refuses_colored_labels_written_alike(tmp_path):
+    # 3 and "3" would share the coloring key "3", and the file read back
+    # would leave one of them uncolored
+    from bstar import Coloring
+    cf = ComplexFile(build([[3, "3"]]), Coloring({3: 1, "3": 2}, 2))
+    with pytest.raises(ComplexFileError) as err:
+        emit_text(cf)
+    assert str(err.value) == ("coloring: vertices 3 and '3' would both be "
+                              "written as the key '3'")
+    path = tmp_path / "c.json"
+    path.write_text("kept", encoding="utf-8")
+    with pytest.raises(ComplexFileError):
+        emit(cf, path)
+    assert path.read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("output", [None, "sub.json"])
+def test_cli_rank_select_refuses_labels_written_alike(tmp_path, capsys,
+                                                      output):
+    # the file has no coloring, so rank-select finds one for 3 and "3"
+    src = tmp_path / "c.json"
+    src.write_text('{"facets": [[3, "3"]]}', encoding="utf-8")
+    argv = ["rank-select", str(src), "--colors", "1,2"]
+    if output:
+        argv += ["-o", str(tmp_path / output)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err == ("error: coloring: vertices 3 and '3' would both be "
+                       "written as the key '3'\n")
+    assert not (tmp_path / "sub.json").exists()
+
+
 def test_parse_field_strings():
     assert parse_field("q") is QQ
     assert parse_field("F2") is GF2

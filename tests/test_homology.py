@@ -16,13 +16,15 @@ from bstar.linalg import product_is_zero
 
 from oracles import (TORSION_BETTI, TORSION_FACETS, check_frozen_record,
                      dense_rows, oracle_betti, oracle_restriction_surjective,
-                     smith_betti)
+                     scanned_top_star, smith_betti)
 
 facet_lists = st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
                        min_size=1, max_size=8)
 pure_facet_lists = st.integers(0, 2).flatmap(lambda d: st.lists(
     st.sets(st.integers(0, 6), min_size=d + 1, max_size=d + 1),
     min_size=1, max_size=8))
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6), (2, 3, 5),
+       (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]   # six-vertex projective plane
 
 
 def test_chain_complex_single_edge():
@@ -43,16 +45,19 @@ def test_boundary_squared_zero(octahedron):
 
 
 def test_boundary_check_raises_on_corrupted_sign(monkeypatch, octahedron):
-    # one flipped sign in the augmentation row: the vertex boundary of the
-    # first edge no longer sums to zero
+    # one flipped sign in the augmentation row, on the way from the rows
+    # built to the boundary matrix: the vertex boundary of the first edge
+    # no longer sums to zero
     real = homology.Matrix
 
-    def corrupted(nrows, ncols, entries):
-        if nrows == 1:
-            entries = {**entries, (0, 0): -entries[(0, 0)]}
-        return real(nrows, ncols, entries)
+    class Corrupted(real):
+        @classmethod
+        def _of_rows(cls, nrows, ncols, rows):
+            if nrows == 1:
+                rows = {0: {**rows[0], 0: -rows[0][0]}}
+            return real._of_rows(nrows, ncols, rows)
 
-    monkeypatch.setattr(homology, "Matrix", corrupted)
+    monkeypatch.setattr(homology, "Matrix", Corrupted)
     clear_caches()
     with pytest.raises(InvariantError, match="boundary of boundary"):
         homology._chain_data(octahedron)
@@ -249,20 +254,43 @@ def test_source_cycle_bases_span_the_target_nullity(fl, field):
     """At every face, the stored cycle basis of a source lies on the
     facets containing the face, has int entries over Q, is annihilated by
     the quotient complex's top boundary, and has as many independent
-    columns as the target's rank-nullity count."""
+    columns as the sweep's dim Z at that face."""
     c = build(fl)
+    top = homology._chain_data(c)[0][-1]
+    sweep = homology._sweep(c, field)
     for face in c.faces_sorted():
         s = c.vertex_mask(face)
         basis = homology._source_cycles(c, s, field)
-        top, rows, cols = homology._top_star(c, s)
+        if s:
+            rows, cols, z_dim, _ = sweep[s]
+        else:
+            rows, cols = range(top.nrows), range(top.ncols)
+            z_dim = top.ncols - rank(top, field)
         boundary = top.submatrix(rows, cols)
         assert set(basis.rows) <= set(cols)
         if field is QQ:
             assert all(type(v) is int for v in basis.entries.values())
         on_cols = basis.take_rows(cols)
         assert product_is_zero(boundary, on_cols, field)
-        assert rank(on_cols, field) == basis.ncols
-        assert homology._target_nullity(c, s, field) == (cols, basis.ncols)
+        assert rank(on_cols, field) == basis.ncols == z_dim
+
+
+@settings(max_examples=40)
+@given(pure_facet_lists, st.sampled_from([QQ, GF2, GF3]))
+@example(RP2, QQ)                                   # onto over F2 only
+@example(RP2, GF2)
+@example([(0, 1, 2), (0, 3, 4)], GF3)               # not Buchsbaum
+@example([(0, 1), (1, 2), (2, 0), (3, 4)], GF2)     # a component without top cycles
+def test_sweep_matches_the_scan_at_every_face(fl, field):
+    """The sweep takes each face's ridges and facets from its parent's;
+    the scan of every mask, with rank-nullity, gives the same ridges,
+    facets, dim Z and verdict at every non-empty face."""
+    c = build(fl)
+    sweep = homology._sweep(c, field)
+    faces = [f for f in c.faces_sorted() if f]
+    assert list(sweep) == [c.vertex_mask(f) for f in faces]
+    for face in faces:
+        assert sweep[c.vertex_mask(face)] == scanned_top_star(c, face, field), face
 
 
 @settings(max_examples=25)
