@@ -23,7 +23,8 @@ from .families import (ConstructionError, UnknownFixtureError, cross_polytope,
                        fixture, multi_point_join_colored, named, simplex,
                        simplex_boundary, skeleton_join_sphere,
                        stacked_cross_polytopal_sphere)
-from .files import ComplexFile, ComplexFileError, emit, emit_text, parse
+from .files import (ComplexFile, ComplexFileError, coloring_keys, emit,
+                    emit_text, parse)
 from .linalg import QQ, CoefficientField
 from .properties import (UNKNOWN, Coloring, ColoringError,
                          find_balanced_coloring, is_buchsbaum,
@@ -151,8 +152,7 @@ def _cmd_check(args) -> int:
             return 1
         if args.json:
             print(json.dumps({"balanced": True,
-                              "coloring": {str(v): c for v, c
-                                           in result.as_sorted_dict().items()}}))
+                              "coloring": coloring_keys(result)}))
         else:
             print(f"balanced with coloring {result.as_sorted_dict()}")
         return 0

@@ -113,25 +113,33 @@ def parse(path) -> ComplexFile:
         return parse_text(fh.read(), source=str(path))
 
 
+def coloring_keys(coloring: Coloring) -> dict:
+    """The coloring as written to JSON, {str(vertex): color} in vertex
+    order.  Raises ComplexFileError if two vertices, such as 3 and "3",
+    would be written as the same key, since a reader could not tell them
+    apart."""
+    out = {}
+    labels = {}   # key written -> the vertex it names
+    for v, c in coloring.as_sorted_dict().items():
+        key = str(v)
+        if labels.setdefault(key, v) != v:
+            raise ComplexFileError(
+                f"coloring: vertices {labels[key]!r} and {v!r} would "
+                f"both be written as the key {key!r}")
+        out[key] = c
+    return out
+
+
 def emit_text(cf: ComplexFile) -> str:
     """Canonical JSON rendering of a complex document.  Raises
-    ComplexFileError if two colored vertices, such as 3 and "3", would be
-    written as the same coloring key, since the file could not tell them
-    apart."""
+    ComplexFileError if the coloring's keys collide (see
+    :func:`coloring_keys`)."""
     doc: dict = {}
     if cf.name is not None:
         doc["name"] = cf.name
     doc["facets"] = [list(f) for f in cf.complex.facets]
     if cf.coloring is not None:
-        doc["coloring"] = coloring = {}
-        labels = {}   # key written -> the vertex it names
-        for v, c in cf.coloring.as_sorted_dict().items():
-            key = str(v)
-            if labels.setdefault(key, v) != v:
-                raise ComplexFileError(
-                    f"coloring: vertices {labels[key]!r} and {v!r} would "
-                    f"both be written as the key {key!r}")
-            coloring[key] = c
+        doc["coloring"] = coloring_keys(cf.coloring)
     if cf.metadata:
         doc["metadata"] = {k: cf.metadata[k] for k in sorted(cf.metadata)}
     return json.dumps(doc, indent=2) + "\n"

@@ -24,25 +24,26 @@ interned :class:`CoefficientField` itself.  The kinds are:
 - ``chain`` ``(c)``: chain data, its bases read from the complex's face
   table (:meth:`Complex.face_table`);
 - ``betti`` ``(c, field)``: Betti vectors;
-- ``star`` ``(c, tau)``: per degree, the basis indices of the faces
-  containing tau, shared by every field; only relative Betti vectors
-  use it;
+- ``star`` ``(c)``: one entry per complex; for every non-empty face
+  tau, in face-table order, per degree the basis indices of the faces
+  containing tau, shared by every field; a vertex's come from one
+  incidence pass, and every larger face's from those of the face without
+  its last vertex;
 - ``rel_kernel`` ``(c, sigma, field)``: for the source face sigma of a
   restriction test, a basis of the top cycles of the quotient complex
   (at sigma empty, the top cycle space): the int columns of
   :func:`bstar.linalg.kernel_basis`, its rows keyed by facet basis
   index;
 - ``sweep`` ``(c, field)``: for every non-empty face tau of a pure
-  complex, in face-table order, the basis indices of the ridges and the
-  facets containing tau, the dimension of the quotient complex's top
-  cycle space, and whether top homology maps onto it; each face's ridges
-  and facets are taken from those of the face without its last vertex;
+  complex, in face-table order, the dimension of the quotient complex's
+  top cycle space and whether top homology maps onto it;
 - one kind per predicate of :mod:`bstar.properties`, named after it
   (``cohen_macaulay``, ``m_cm`` with ``(c, m, field)``, ...): the verdict
   and the witness as vertex positions.
 
 The ranks behind relative Betti vectors are recomputed from ``star`` on
-every call, since they are rarely asked for twice.  Complexes that differ
+every call, since they are rarely asked for twice; at the empty face they
+use the whole bases, and no ``star`` is needed.  Complexes that differ
 by an order-preserving relabelling share every entry, and that is exact:
 such a relabelling keeps the lexicographic order of the faces and every
 boundary sign, which depend only on vertex positions, so the bases,
@@ -223,24 +224,48 @@ def reduced_betti(c: Complex, field: CoefficientField) -> BettiVector:
 
 
 @_memo("star")
-def _superset_indices(c: Complex, t: int) -> dict:
-    """Per degree, the basis indices of faces containing the face with
-    vertex bitmask t, shared by every field."""
+def _stars(c: Complex) -> dict:
+    """For every non-empty face tau, keyed by its vertex bitmask in
+    face-table order: per degree |tau|-1 .. dim, the basis indices of the
+    faces containing tau, shared by every field.
+
+    A vertex's lists come from one incidence pass over every degree, and a
+    larger face keeps those of the face without its last vertex that
+    contain the new one, so no face rescans every mask."""
     _, masks = _chain_data(c)
-    return {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
-            for k in range(t.bit_count(), len(masks))}
+    table = c.face_table()
+    at = [{k - 1: [] for k in range(1, len(masks))} for _ in c.vertices]
+    for k in range(1, len(masks)):
+        for i, face in enumerate(table[k]):
+            for v in face:
+                at[v][k - 1].append(i)
+    stars = {}
+    for faces, face_masks in zip(table[1:], masks[1:]):
+        for face, t in zip(faces, face_masks):
+            v = face[-1]
+            if len(face) == 1:
+                stars[t] = at[v]
+                continue
+            bit = 1 << v
+            parent = stars[t ^ bit]
+            stars[t] = {
+                deg: [i for i in parent[deg] if masks[deg + 1][i] & bit]
+                for deg in range(len(face) - 1, len(masks) - 1)}
+    return stars
 
 
 def _relative_data(c: Complex, t: int, field: CoefficientField):
     """Face counts and boundary ranks of the quotient complex for
     (Delta, cost(tau)), tau given by its vertex bitmask t: counts[j] and
-    rank of the induced boundary leaving degree j, for |tau|-1 <= j <= dim.
+    rank of the induced boundary leaving degree j, for |tau|-1 <= j <= dim,
+    from the faces containing tau (:func:`_stars`; at t = 0, every face).
     Not cached: its callers rarely ask for one (complex, tau, field) twice.
     Each rank is of whole rows of a boundary matrix: a face containing tau
     has all its cofaces, the non-zeros of its row, among the faces
     containing tau, so restricting the columns too would not change it."""
-    boundaries, _ = _chain_data(c)
-    sel = _superset_indices(c, t)
+    boundaries, masks = _chain_data(c)
+    sel = (_stars(c)[t] if t else
+           {k - 1: range(len(basis)) for k, basis in enumerate(masks)})
     counts = {deg: len(idx) for deg, idx in sel.items()}
     ranks = {}
     for deg in sel:
@@ -272,47 +297,28 @@ def _betti_values(counts: dict, ranks: dict, top: int) -> tuple:
 def _sweep(c: Complex, field: CoefficientField) -> dict:
     """The restriction test of Buchsbaum-star at every non-empty face tau
     of a pure complex, keyed by vertex bitmask in face-table order: the
-    basis indices of the ridges and of the facets containing tau, the
     dimension of the top cycle space Z_tau of the quotient complex at tau,
     and whether top homology maps onto relative top homology at tau.
 
-    A vertex's ridges and facets come from one pass over all of them, and
-    a larger face takes those of the face without its last vertex that
-    contain the new one, so no face rescans every mask.  dim Z_tau is the
-    number of facets containing tau minus the rank of the top boundary's
-    rows at those ridges: a ridge containing tau has all its cofaces among
-    those facets, so the whole rows are the quotient's top boundary.
-    Relative top homology is Z_tau, and the map projects the top cycle
-    space onto the facets containing tau, into Z_tau; so it is onto
-    exactly when the projected basis of the top cycles has rank dim Z_tau.
+    The ridges and facets containing tau come from :func:`_stars`.  dim
+    Z_tau is the number of those facets minus the rank of the top
+    boundary's rows at those ridges: a ridge containing tau has all its
+    cofaces among those facets, so the whole rows are the quotient's top
+    boundary.  Relative top homology is Z_tau, and the map projects the
+    top cycle space onto the facets containing tau, into Z_tau; so it is
+    onto exactly when the projected basis of the top cycles has rank
+    dim Z_tau.
     """
     if not c.vertices:
         return {}
-    boundaries, masks = _chain_data(c)
-    top = boundaries[-1]
-    table = c.face_table()
-    ridge_masks, facet_masks = masks[-2], masks[-1]
-    ridges_at = [[] for _ in c.vertices]
-    facets_at = [[] for _ in c.vertices]
-    for at, basis in ((ridges_at, table[-2]), (facets_at, table[-1])):
-        for i, face in enumerate(basis):
-            for v in face:
-                at[v].append(i)
+    top = _chain_data(c)[0][-1]
     cycles = _source_cycles(c, 0, field)
     sweep = {}
-    for faces, face_masks in zip(table[1:], masks[1:]):
-        for face, t in zip(faces, face_masks):
-            v = face[-1]
-            if len(face) == 1:
-                ridges, facets = ridges_at[v], facets_at[v]
-            else:
-                bit = 1 << v
-                ridges, facets, _, _ = sweep[t ^ bit]
-                ridges = [i for i in ridges if ridge_masks[i] & bit]
-                facets = [i for i in facets if facet_masks[i] & bit]
-            z_dim = len(facets) - rank(top.take_rows(ridges), field)
-            sweep[t] = (ridges, facets, z_dim, z_dim == 0 or rank(
-                cycles.take_rows(facets), field) == z_dim)
+    for t, star in _stars(c).items():
+        ridges, facets = star.get(c.dim - 1, ()), star[c.dim]
+        z_dim = len(facets) - rank(top.take_rows(ridges), field)
+        sweep[t] = (z_dim, z_dim == 0
+                    or rank(cycles.take_rows(facets), field) == z_dim)
     return sweep
 
 
@@ -321,10 +327,11 @@ def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
     """A basis of the top cycles of the quotient complex at the face with
     vertex bitmask s (at s = 0, the top cycle space) as the int columns of
     :func:`kernel_basis`, rows keyed by facet basis index.  The ridges and
-    facets containing a non-empty face come from :func:`_sweep`."""
+    facets containing a non-empty face come from :func:`_stars`."""
     top = _chain_data(c)[0][-1]
     if s:
-        ridges, cols, _, _ = _sweep(c, field)[s]
+        star = _stars(c)[s]
+        ridges, cols = star.get(c.dim - 1, ()), star[c.dim]
     else:
         ridges, cols = range(top.nrows), range(top.ncols)
     k = kernel_basis(top.submatrix(ridges, cols), field)
@@ -337,7 +344,7 @@ def top_restriction_surjective(c: Complex, tau, field: CoefficientField) -> bool
     if c.is_void or not c.is_pure:
         raise NotPureError("surjectivity test requires a pure complex")
     t = c.face_mask(tau, nonempty=True)
-    return _sweep(c, field)[t][3]
+    return _sweep(c, field)[t][1]
 
 
 def pair_restriction_surjective(c: Complex, sigma, tau,
@@ -358,11 +365,11 @@ def pair_restriction_surjective(c: Complex, sigma, tau,
     tm = c.face_mask(t)
     if s == t:
         return True
-    _, facets, z_dim, onto = _sweep(c, field)[tm]
+    z_dim, onto = _sweep(c, field)[tm]
     if not s or z_dim == 0:
         return onto
     source = _source_cycles(c, c.vertex_mask(s), field)
-    return rank(source.take_rows(facets), field) == z_dim
+    return rank(source.take_rows(_stars(c)[tm][c.dim]), field) == z_dim
 
 
 # -- on-disk Betti cache -----------------------------------------------------

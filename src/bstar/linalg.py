@@ -404,23 +404,7 @@ def kernel_basis(m: Matrix, field: CoefficientField) -> Matrix:
 
 def product_is_zero(a: Matrix, b: Matrix, field: CoefficientField) -> bool:
     """Whether a*b vanishes over the field: every entry of the integer
-    product is zero, or over F_p zero mod p."""
-    if a.ncols != b.nrows:
-        raise ShapeError(f"{a.ncols} cols vs {b.nrows} rows")
+    product (:meth:`Matrix.matmul`) is zero, or over F_p zero mod p."""
     p = field.p
-    a_by_col: dict = {}
-    for i, row in a.rows.items():
-        for k, v in row.items():
-            a_by_col.setdefault(k, []).append((i, v))
-    b_by_col: dict = {}
-    for k, row in b.rows.items():
-        for j, v in row.items():
-            b_by_col.setdefault(j, {})[k] = v
-    for col in b_by_col.values():
-        acc: dict = {}
-        for k, w in col.items():
-            for i, v in a_by_col.get(k, ()):
-                acc[i] = acc.get(i, 0) + v * w
-        if any(s % p if p else s for s in acc.values()):
-            return False
-    return True
+    return not any(v % p if p else v
+                   for row in a.matmul(b).rows.values() for v in row.values())

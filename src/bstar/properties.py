@@ -277,7 +277,7 @@ def is_buchsbaum_star(c: Complex, field: CoefficientField) -> PropertyReport:
     base = is_buchsbaum(c, field)
     if not base.verdict:
         return _report("buchsbaum_star", field, False, base.witness)
-    for t, (*_, onto) in _sweep(c, field).items():
+    for t, (_, onto) in _sweep(c, field).items():
         if not onto:
             tau = tuple(v for i, v in enumerate(c.vertices) if t >> i & 1)
             return _report("buchsbaum_star", field, False,

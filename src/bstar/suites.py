@@ -13,28 +13,18 @@ each input it takes the once-cases, then the cases over every field
 through ``_for_every_field``: computed over the first field, and over
 the others only when some rank on the way depended on the field, as
 torsion makes it do (``rp2_min`` has 2-torsion); otherwise the first
-field's cases are copied.  It sorts the case records by (case id,
-property, field), so reports are independent of execution order; the
-JSON and text renderings contain identical verdicts.
-
-``lemma-oracle`` and ``hierarchy``, the two costliest suites, are dealt:
-``run_suite`` shares their inputs over the usable CPUs, the calling
-process running one share and a forked child each other share (see
-``_dealt``).  They run serially when one CPU is usable, when there is no
-``os.fork`` or when another thread is alive.  Every other suite runs
-serially: its work takes a few milliseconds at most, near the 2-3 ms that
-a fork and the round trip of its result take.
+field's cases are copied.  Every suite runs in the calling process, one
+input after another, so its cache entries serve the suites after it.  It
+sorts the case records by (case id, property, field), so reports are
+independent of execution order; the JSON and text renderings contain
+identical verdicts.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-import signal
-import threading
 import time
-from contextlib import suppress
 from math import comb
 
 from .complexes import Complex, Record, build
@@ -207,7 +197,7 @@ def _stacked_f_formula(n: int, d: int) -> tuple:
             c * 2 ** d - 2 * (c - 1))
 
 
-# -- one complex per core, computed once for every field --------------------
+# -- one input, computed once for every field ---------------------------------
 
 def _for_every_field(fields, cases_over) -> list:
     """The cases of ``cases_over(f)`` for every field f, in field order.
@@ -226,96 +216,6 @@ def _for_every_field(fields, cases_over) -> list:
     return first + [CaseRecord(c.case_id, c.prop, f.label, c.expected, c.got,
                                c.witness, c.passed)
                     for f in fields[1:] for c in first]
-
-
-def _face_count(item) -> int:
-    """The faces of an input's complex: the work of both dealt suites."""
-    return sum(map(len, item[0].complex.face_table()))
-
-
-def _dealt(items, work, cost) -> list:
-    """The cases of ``work(item)`` for every item, concatenated in item
-    order.  With w = min(len(items), usable CPUs) >= 2, the items are
-    dealt into w shares of about equal total ``cost(item)``: each item,
-    costliest first, goes to the share with the least cost so far.  w - 1
-    forked children run shares 1 .. w-1 while this process runs share 0;
-    each child sends its cases, or the exception it raised, back through
-    a pipe.  It runs serially when w < 2, when there is no ``os.fork``, or
-    when another thread is alive, since a fork taken while that thread
-    holds a lock (such as the homology cache lock) leaves the lock held in
-    the child.  Only this process keeps its cache entries.  No child
-    outlives the call: on an error, those whose pipe is unread are killed."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(len(items), cpus)
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [case for item in items for case in work(item)]
-    import pickle  # here: at the top it adds 0.4 MB to every bstar process
-    costs = list(map(cost, items))
-    shares = [[] for _ in range(workers)]  # item indices per share
-    loads = [0] * workers
-    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
-        k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += costs[i]
-    children = []  # (pid, read end of its pipe) for k = 1 .. w-1
-    try:
-        for k in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(write, work, [items[i] for i in shares[k]])
-            except BaseException:
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        results = [None] * len(items)
-        for i in shares[0]:
-            results[i] = work(items[i])
-        for k, (pid, pipe) in enumerate(children, start=1):
-            data = pipe.read()
-            pipe.close()  # read to its end: the child is leaving by itself
-            if not data:
-                raise ChildProcessError(
-                    f"worker {k} of {workers} sent no result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            for i, result in zip(shares[k], value):
-                results[i] = result
-    except BaseException:
-        for pid, pipe in children:
-            if not pipe.closed:
-                with suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            # ChildProcessError: reaped already, as when SIGCHLD is ignored
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-    return [case for cases in results for case in cases]
-
-
-def _child(write, work, items):
-    """Body of a forked child: write (True, cases per item) or (False,
-    exception) to the pipe, then leave through ``os._exit``, so that the
-    caller's frames never run twice and the parent's buffered output is
-    not flushed a second time."""
-    try:
-        import pickle
-        try:
-            result = (True, [work(item) for item in items])
-        except Exception as exc:
-            result = (False, exc)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
-    finally:
-        os._exit(0)
 
 
 # -- suites -------------------------------------------------------------------
@@ -531,14 +431,14 @@ class _Suite:
     returning CorpusEntry items, whose parameter is None.  The claims
     ``once(complex, coloring, parameter)`` and ``over(complex, coloring,
     parameter, field)`` give cases with ids relative to the input.
-    ``fields`` run when none are named; ``dealt`` inputs go over the CPUs."""
+    ``fields`` run when none are named."""
 
-    __slots__ = ("inputs", "once", "over", "fields", "dealt")
+    __slots__ = ("inputs", "once", "over", "fields")
 
     def __init__(self, inputs, once=_no_cases, over=_no_cases,
-                 fields=(QQ, GF2), dealt=False):
+                 fields=(QQ, GF2)):
         self.inputs, self.once, self.over = inputs, once, over
-        self.fields, self.dealt = fields, dealt
+        self.fields = fields
 
 
 _SUITES = {
@@ -567,9 +467,8 @@ _SUITES = {
     "orientability-rp2": _Suite({"rp2_min": 2}, once=_homology_manifold,
                                 over=_star_in_characteristic,
                                 fields=(GF2, QQ, GF3)),
-    "lemma-oracle": _Suite(_oracle_inputs, over=_lemma_oracle, dealt=True),
-    "hierarchy": _Suite(lambda seed, max_n: corpus(), over=_hierarchy,
-                        dealt=True),
+    "lemma-oracle": _Suite(_oracle_inputs, over=_lemma_oracle),
+    "hierarchy": _Suite(lambda seed, max_n: corpus(), over=_hierarchy),
 }
 
 
@@ -607,8 +506,7 @@ def run_suite(name: str, fields=None, seed: int = 0,
         return under(suite.once(*args)) + _for_every_field(
             fields, lambda f: under(suite.over(*args, f)))
 
-    cases = (_dealt(items, work, _face_count) if suite.dealt
-             else [case for item in items for case in work(item)])
+    cases = [case for item in items for case in work(item)]
     duration = time.perf_counter() - start
     cases.sort(key=lambda c: (c.case_id, c.prop, c.field))
     return SuiteReport(name, __version__, labels, seed, max_n,

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,18 +10,6 @@ settings.register_profile(
     "default", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 settings.load_profile("default")
-
-
-@pytest.fixture(autouse=True)
-def _forked_children_never_return():
-    """End through os._exit any process but the test's own that reaches
-    the test's teardown: a forked child that returned into its caller
-    would otherwise go on running the rest of the session, forking again
-    where the suites fork.  Exit code 1 shows the parent it went wrong."""
-    pid = os.getpid()
-    yield
-    if os.getpid() != pid:
-        os._exit(1)
 
 
 @pytest.fixture

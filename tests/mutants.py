@@ -82,21 +82,6 @@ MUTANTS = {
          PROPERTIES + "test_shared_nested_witnesses_are_in_the_queried_labels",
          PROPERTIES + "test_buchsbaum"),
     ),
-    "a forked child leaves through sys.exit": (
-        "suites.py",
-        """    finally:
-        os._exit(0)""",
-        """    finally:
-        __import__("sys").exit(0)""",
-        (SUITES + "test_verify_all_prints_each_report_once",
-         SUITES + "test_forked_and_serial_runs_give_identical_reports"),
-    ),
-    "no thread guard before the fork": (
-        "suites.py",
-        """    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:""",
-        """    if workers < 2 or not hasattr(os, "fork"):""",
-        (SUITES + "test_forked_and_serial_runs_give_identical_reports",),
-    ),
     "run_suite joins the input id and the case id without a bar": (
         "suites.py",
         """            return [CaseRecord(f"{cid}|{c.case_id}" if c.case_id else cid,""",
@@ -111,14 +96,14 @@ MUTANTS = {
         (PROPERTIES + "test_cm_disconnected_fails_with_witness",
          PROPERTIES + "test_cm_verdict_and_witness_match_the_plain_scan"),
     ),
-    "the restriction sweep keeps the parent's ridges and facets": (
+    "a face's star keeps its parent's faces": (
         "homology.py",
-        """                ridges = [i for i in ridges if ridge_masks[i] & bit]
-                facets = [i for i in facets if facet_masks[i] & bit]
-""",
-        "",
-        (HOMOLOGY + "test_sweep_matches_the_scan_at_every_face",
+        """                deg: [i for i in parent[deg] if masks[deg + 1][i] & bit]""",
+        """                deg: parent[deg]""",
+        (HOMOLOGY + "test_stars_match_the_scan_at_every_face",
+         HOMOLOGY + "test_sweep_matches_the_scan_at_every_face",
          HOMOLOGY + "test_restriction_maps_match_rank_nullity_oracle",
+         HOMOLOGY + "test_lemma_relative_equals_shifted_link",
          SUITES + "test_suite_reports_are_byte_identical"),
     ),
     "kernel_basis reduces F_p entries mod p": (

@@ -10,8 +10,10 @@ genuine dual-route check.
 The matrix helpers at the end (identity, transpose, augment, span_dim,
 span_contains) are conveniences for the linalg tests, not oracles: they
 build on bstar's Matrix and rank.  So is ``check_frozen_record``, which the
-record tests share, and so is ``scanned_top_star``, the per-face scan that
-the restriction sweep of bstar.homology replaced, kept as its reference.
+record tests share, and so are ``scanned_star``, the scan of every mask
+for the faces containing a face, which bstar.homology's stars replaced,
+and ``scanned_top_star``, the per-face restriction test that its sweep
+replaced, each kept as the reference.
 """
 
 import itertools
@@ -412,18 +414,25 @@ def check_frozen_record(record, twin, hashable=True):
     assert getattr(record, name) == getattr(twin, name)
 
 
+def scanned_star(c, face):
+    """Per degree |face|-1 .. dim, the basis indices of the faces of c
+    containing the face, each degree scanned from every mask."""
+    _, masks = _chain_data(c)
+    t = c.vertex_mask(face)
+    return {k - 1: [i for i, m in enumerate(masks[k]) if m & t == t]
+            for k in range(t.bit_count(), len(masks))}
+
+
 def scanned_top_star(c, face, field):
     """The restriction test at a non-empty face of a pure complex as it
-    was computed one face at a time: the ridges and the facets containing
-    the face, each scanned from every mask, dim Z by rank-nullity from the
-    rank of those whole ridge rows of the top boundary, and whether the
-    projected top cycle basis has that rank."""
-    boundaries, masks = _chain_data(c)
-    top = boundaries[-1]
-    t = c.vertex_mask(face)
-    ridges = [i for i, m in enumerate(masks[-2]) if m & t == t]
-    facets = [i for i, m in enumerate(masks[-1]) if m & t == t]
-    z_dim = len(facets) - rank(top.take_rows(ridges), field)
+    was computed one face at a time: with the ridges and the facets
+    containing the face scanned from every mask, dim Z by rank-nullity
+    from the rank of those whole ridge rows of the top boundary, and
+    whether the projected top cycle basis has that rank."""
+    top = _chain_data(c)[0][-1]
+    star = scanned_star(c, face)
+    facets = star[c.dim]
+    z_dim = len(facets) - rank(top.take_rows(star.get(c.dim - 1, [])), field)
     cycles = kernel_basis(top, field)   # rows keyed by facet basis index
     onto = z_dim == 0 or rank(cycles.take_rows(facets), field) == z_dim
-    return ridges, facets, z_dim, onto
+    return z_dim, onto

@@ -152,6 +152,27 @@ def test_cli_rank_select_refuses_labels_written_alike(tmp_path, capsys,
     assert not (tmp_path / "sub.json").exists()
 
 
+def test_cli_check_balanced_json_refuses_labels_written_alike(tmp_path,
+                                                             capsys):
+    # as JSON keys, the colours of 3 and "3" would be one entry; the text
+    # form keeps the labels apart
+    src = tmp_path / "c.json"
+    src.write_text('{"facets": [[3, "3"]]}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "balanced", str(src), "--json"]) == 2
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err == ("error: coloring: vertices 3 and '3' would both be "
+                       "written as the key '3'\n")
+    assert main(["check", "balanced", str(src)]) == 0
+    assert capsys.readouterr().out == "balanced with coloring {3: 1, '3': 2}\n"
+    src.write_text('{"facets": [[1, 2], [2, 10]]}', encoding="utf-8")
+    assert main(["check", "balanced", str(src), "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"balanced": True, "coloring": {"1": 2, "2": 1, "10": 2}}
+    assert list(printed["coloring"]) == ["1", "2", "10"]   # vertex order
+
+
 def test_parse_field_strings():
     assert parse_field("q") is QQ
     assert parse_field("F2") is GF2

@@ -16,7 +16,7 @@ from bstar.linalg import product_is_zero
 
 from oracles import (TORSION_BETTI, TORSION_FACETS, check_frozen_record,
                      dense_rows, oracle_betti, oracle_restriction_surjective,
-                     scanned_top_star, smith_betti)
+                     scanned_star, scanned_top_star, smith_betti)
 
 facet_lists = st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
                        min_size=1, max_size=8)
@@ -257,12 +257,13 @@ def test_source_cycle_bases_span_the_target_nullity(fl, field):
     columns as the sweep's dim Z at that face."""
     c = build(fl)
     top = homology._chain_data(c)[0][-1]
-    sweep = homology._sweep(c, field)
+    stars, sweep = homology._stars(c), homology._sweep(c, field)
     for face in c.faces_sorted():
         s = c.vertex_mask(face)
         basis = homology._source_cycles(c, s, field)
         if s:
-            rows, cols, z_dim, _ = sweep[s]
+            rows, cols = stars[s].get(c.dim - 1, []), stars[s][c.dim]
+            z_dim = sweep[s][0]
         else:
             rows, cols = range(top.nrows), range(top.ncols)
             z_dim = top.ncols - rank(top, field)
@@ -282,15 +283,40 @@ def test_source_cycle_bases_span_the_target_nullity(fl, field):
 @example([(0, 1, 2), (0, 3, 4)], GF3)               # not Buchsbaum
 @example([(0, 1), (1, 2), (2, 0), (3, 4)], GF2)     # a component without top cycles
 def test_sweep_matches_the_scan_at_every_face(fl, field):
-    """The sweep takes each face's ridges and facets from its parent's;
-    the scan of every mask, with rank-nullity, gives the same ridges,
-    facets, dim Z and verdict at every non-empty face."""
+    """The sweep reads each face's ridges and facets from the stars; the
+    scan of every mask, with rank-nullity, gives the same dim Z and
+    verdict at every non-empty face."""
     c = build(fl)
     sweep = homology._sweep(c, field)
     faces = [f for f in c.faces_sorted() if f]
     assert list(sweep) == [c.vertex_mask(f) for f in faces]
     for face in faces:
         assert sweep[c.vertex_mask(face)] == scanned_top_star(c, face, field), face
+
+
+@settings(max_examples=40)
+@given(st.one_of(facet_lists, pure_facet_lists),
+       st.sampled_from([QQ, GF2, GF3]))
+@example([()], QQ)                                  # no non-empty face
+@example([(0, 1, 2), (2, 3), (4,)], GF2)            # not pure
+@example(RP2, GF3)
+def test_stars_match_the_scan_at_every_face(fl, field):
+    """Each face's star is filtered from its parent's; the scan of every
+    mask gives the same basis indices at every non-empty face and degree,
+    and the relative face counts and ranks read from the stars are those
+    of the scanned faces."""
+    c = build(fl)
+    boundaries, _ = homology._chain_data(c)
+    stars = homology._stars(c)
+    faces = [f for f in c.faces_sorted() if f]
+    assert list(stars) == [c.vertex_mask(f) for f in faces]
+    for face in faces:
+        scan = scanned_star(c, face)
+        assert stars[c.vertex_mask(face)] == scan, face
+        ranks = {deg: rank(boundaries[deg].take_rows(scan[deg - 1]), field)
+                 if scan.get(deg - 1) else 0 for deg in scan}
+        assert homology._relative_data(c, c.vertex_mask(face), field) == (
+            {deg: len(idx) for deg, idx in scan.items()}, ranks), face
 
 
 @settings(max_examples=25)

@@ -1,16 +1,14 @@
 import hashlib
 import json
 import os
-import signal
 import subprocess
 import sys
-import threading
 
 import pytest
 
 import bstar
 import bstar.cli
-from bstar import (GF, GF2, GF3, QQ, InfeasibleParameterError, InvariantError,
+from bstar import (GF, GF2, GF3, QQ, InfeasibleParameterError,
                    UnknownSuiteError, __version__, build, clear_caches,
                    corpus, explore_question, random_balanced_complex,
                    random_pure_complex, run_suite, suite_names)
@@ -190,108 +188,6 @@ def test_claims_read_no_corpus_id(monkeypatch):
         assert run_suite(name, seed=seed).cases == expected, (name, seed)
 
 
-# lemma-oracle and hierarchy run their second field in a forked child when
-# two CPUs are usable.  These tests report two usable CPUs, so the fork is
-# taken on a one-core host as well.
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-
-
-def _two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-
-
-def _reaped(monkeypatch) -> list:
-    """Wrap os.waitpid to collect the wait status of each child it reaps."""
-    real = os.waitpid
-    statuses = []
-
-    def waitpid(pid, options):
-        reaped, status = real(pid, options)
-        if reaped:
-            statuses.append(status)
-        return reaped, status
-
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    return statuses
-
-
-def _lemma_and_hierarchy_reports():
-    out = {}
-    for name in ("lemma-oracle", "hierarchy"):
-        for seed in (0, 1):
-            clear_caches()
-            d = run_suite(name, seed=seed).to_dict()
-            d.pop("duration_s")
-            out[name, seed] = d
-    return out
-
-
-@needs_fork
-def test_forked_and_serial_runs_give_identical_reports(monkeypatch):
-    _two_cpus(monkeypatch)
-    real_fork = os.fork
-    forks = []
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    statuses = _reaped(monkeypatch)
-    forked = _lemma_and_hierarchy_reports()
-    assert len(forks) == 4
-    assert statuses == [0] * 4  # each child left through os._exit(0)
-
-    # With another thread alive the fields run in this process: a fork
-    # would raise here.
-    def no_fork():
-        raise AssertionError("forked while another thread was alive")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    stop = threading.Event()
-    idle = threading.Thread(target=stop.wait)
-    idle.start()
-    try:
-        serial = _lemma_and_hierarchy_reports()
-    finally:
-        stop.set()
-        idle.join(timeout=10)
-    assert not idle.is_alive()
-    assert serial == forked
-
-
-@needs_fork
-@pytest.mark.parametrize("failing", ["parent", "child"])
-def test_worker_error_reaches_the_caller_and_leaves_no_child(monkeypatch,
-                                                             failing):
-    # the complexes are dealt to this process and to one forked child;
-    # the error is raised on those dealt to one of them
-    _two_cpus(monkeypatch)
-    parent = os.getpid()
-    real = suites.relative_betti_vector
-
-    def fails_in_one_process(cx, tau, field):
-        if (os.getpid() == parent) == (failing == "parent"):
-            raise InvariantError(f"{failing} fails on purpose")
-        return real(cx, tau, field)
-
-    monkeypatch.setattr(suites, "relative_betti_vector", fails_in_one_process)
-    statuses = _reaped(monkeypatch)
-    clear_caches()
-    with pytest.raises(InvariantError, match=f"{failing} fails on purpose"):
-        run_suite("lemma-oracle")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    # The child left through os._exit(0).  A child whose result has been
-    # read is never killed; one that may still be writing, when this
-    # process fails first, may be.
-    assert len(statuses) == 1
-    assert statuses[0] == 0 or (failing == "parent" and
-                                os.WIFSIGNALED(statuses[0]) and
-                                os.WTERMSIG(statuses[0]) == signal.SIGKILL)
-
-
 def _cases(*reports):
     return {c for r in reports for c in r.cases}
 
@@ -356,8 +252,6 @@ def test_torsion_complexes_are_computed_per_field(monkeypatch):
                suites._entry("rp2_min"), suites._entry("octahedron")]
     monkeypatch.setattr(suites, "corpus", lambda: list(entries))
     monkeypatch.setattr(suites, "_random_pure_corpus", lambda *args: [])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)  # serial: the spies see every call
     seen = {}
 
     def spy(name):
@@ -387,9 +281,8 @@ def test_torsion_complexes_are_computed_per_field(monkeypatch):
 
 
 def test_verify_all_prints_each_report_once():
-    # Piped stdout is block-buffered (PYTHONUNBUFFERED is dropped): a child
-    # that flushed its copy of the parent's buffer on its way out would
-    # print earlier reports twice.
+    # Piped stdout is block-buffered (PYTHONUNBUFFERED is dropped): each
+    # suite's report must reach it once, in suite order, from one process.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(
         os.path.dirname(os.path.abspath(bstar.__file__)))
