@@ -3,26 +3,21 @@ m-fold variants, homology manifolds, balanced colorings, rank selection.
 
 Every predicate returns a PropertyReport whose false verdicts carry a
 witness that independently re-checks to a genuine violation (see
-:func:`revalidate_witness`).  Faces and vertex subsets are enumerated in
-deterministic (dimension, lexicographic) order, so the reported witness is
-always the first violation in that order.
+:func:`revalidate_witness`): the first violation, with faces in
+(dimension, lexicographic) order and vertex subsets by size, then
+lexicographically.  The link conditions share one loop over the vertex
+links, the m-fold predicates one loop over the deleted vertex subsets.
 
-The seven predicates (Cohen-Macaulay, Buchsbaum, doubly Buchsbaum,
-Buchsbaum-star, m-CM, m-Buchsbaum-star, homology manifold) memoise their
-verdicts through the homology memo, one kind per predicate, keyed by the
-index form of the complex and the arguments (see :mod:`bstar.homology`),
-with witnesses stored as vertex positions.
-That is exact: an order-preserving relabelling keeps the vertex order, the
-(dimension, lexicographic) face order and the order of the deleted vertex
-subsets, so the first violation maps position for position.  Relabelled
-links and deletions therefore share one report, returned in the labels of
-the complex asked about.
+The seven predicates memoise their reports through the homology memo
+(see :mod:`bstar.homology`), one kind per predicate, with witnesses stored
+as vertex positions.  That is exact: an order-preserving relabelling keeps
+every order above, so relabelled links and deletions share one report,
+returned in the labels of the complex asked about.
 
-Purity is part of the Buchsbaum definition here: without it the
-"dimension d-1" bookkeeping of the deletion-based predicates breaks.
-m-fold predicates quantify over vertex subsets A with |A| < m, so m = 0
-degenerates to the base property's precondition and m = 1 to the base
-property itself.
+Purity is part of the Buchsbaum definition here, as the "dimension d-1"
+bookkeeping of the deletion-based predicates needs it.  m-fold predicates
+quantify over vertex subsets A with |A| < m, so m = 0 degenerates to the
+base property's precondition and m = 1 to the base property itself.
 """
 
 from __future__ import annotations
@@ -184,36 +179,78 @@ def _memoised(prop: str):
     return decorate
 
 
+def _link_defect(link: Complex, field: CoefficientField, sphere: bool):
+    """The least degree where the reduced Betti numbers of a link are not
+    those of a sphere of its dimension (sphere) or 0 below its dimension."""
+    betti = reduced_betti(link, field)
+    top = link.dim if sphere else link.dim - 1
+    return next((i for i in range(-1, top + 1) if betti[i] != (i == link.dim)),
+                None)
+
+
+def _failing_vertex_links(c: Complex, field: CoefficientField, sphere: bool):
+    """Yield (v, sigma, i) for each vertex v, in order, whose link fails at
+    its face sigma in degree i: the witness of the memoised Cohen-Macaulay
+    report of lk v, or with sphere, sigma = () if lk v does not have a
+    sphere's Betti numbers and else the witness of its manifold report."""
+    predicate = is_homology_manifold if sphere else is_cohen_macaulay
+    for v in c.vertices:
+        link = c.link((v,))
+        if sphere and (bad := _link_defect(link, field, True)) is not None:
+            yield v, (), bad
+        elif not (inner := predicate(link, field)).verdict:
+            yield (v, *inner.witness.data)
+
+
+def _link_witness(c: Complex, field: CoefficientField, sphere: bool):
+    """The witness (link_sphere with sphere, else link_homology) of the
+    first non-empty face of c, in (dimension, lexicographic) order, whose
+    link fails, with the link's lowest failing degree; None if none does."""
+    # Each v + sigma fails in c: for v in a face, its link is the link of
+    # the face without v in lk v, in the same labels.  The first failing
+    # face tau is one of them: for v in tau, lk v fails at tau - v, so it
+    # yields a sigma no later than tau - v, and adding one vertex to two
+    # faces of the same size keeps their lexicographic order.
+    pos = c._positions().__getitem__
+    least = None
+    for v, sigma, i in _failing_vertex_links(c, field, sphere):
+        face = sorted(map(pos, (v, *sigma)))
+        found = (len(face), face, i)
+        least = min(least, found) if least else found
+        if not sigma:
+            break   # no later vertex gives a smaller face
+    return least and Witness("link_sphere" if sphere else "link_homology", (
+        tuple(map(c.vertices.__getitem__, least[1])), least[2]))
+
+
 @_memoised("cohen_macaulay")
 def is_cohen_macaulay(c: Complex, field: CoefficientField) -> PropertyReport:
-    """Vanishing of reduced link homology below the link dimension, for
-    every face including the empty one.
-
-    A CM complex is answered from its own homology and the memoised
-    verdicts of its vertex links: every non-empty face contains a vertex
-    v, and its link is a link of lk v in the same labels, so the vertex
-    links being CM covers exactly the non-empty faces.  Otherwise the faces
-    are scanned in order, which gives the first violation as witness."""
+    """Reisner's criterion: the reduced homology of every face's link, the
+    empty face's included, vanishes below the link's dimension.  The empty
+    face is checked on the Betti numbers of c, the others through the
+    vertex links (see _link_witness)."""
     if c.is_void:
         raise ValueError("void complex has no Cohen-Macaulay verdict")
-    betti = reduced_betti(c, field)
-    if (not any(betti[i] for i in range(-1, c.dim))
-            and all(is_cohen_macaulay(c.link((v,)), field)
-                    for v in c.vertices)):
-        return _report("cohen_macaulay", field, True)
-    for sigma in c.faces_sorted():
-        link = c.link(sigma)
-        betti = reduced_betti(link, field)
-        bad = next((i for i in range(-1, link.dim) if betti[i] != 0), None)
-        if bad is not None:
-            return _report("cohen_macaulay", field, False,
-                           Witness("link_homology", (sigma, bad)))
-    return _report("cohen_macaulay", field, True)
+    bad = _link_defect(c, field, False)
+    witness = (_link_witness(c, field, False) if bad is None
+               else Witness("link_homology", ((), bad)))
+    return _report("cohen_macaulay", field, witness is None, witness)
 
 
-def _vertex_subsets(c: Complex, max_size: int):
-    for size in range(max_size + 1):
-        yield from itertools.combinations(c.vertices, size)
+def _deletion_witness(c: Complex, m: int, field: CoefficientField,
+                      predicate, kind: str) -> Witness | None:
+    """The witness for the first vertex subset A with |A| < m, by size,
+    then lexicographically, whose deletion lowers the dimension or fails
+    the predicate (kind, with its witness); None if there is none."""
+    for size in range(m):
+        for a in itertools.combinations(c.vertices, size):
+            deleted = c.delete(a)
+            if deleted.dim != c.dim:
+                return Witness("deletion_dimension", (a,))
+            inner = predicate(deleted, field)
+            if not inner.verdict:
+                return Witness(kind, (a, inner.witness))
+    return None
 
 
 @_memoised("m_cm")
@@ -222,35 +259,21 @@ def is_m_cm(c: Complex, m: int, field: CoefficientField) -> PropertyReport:
     under deletion of every vertex subset of size below m."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    dim = c.dim
-    for a in _vertex_subsets(c, m - 1):
-        deleted = c.delete(a)
-        if deleted.dim != dim:
-            return _report("m_cm", field, False,
-                           Witness("deletion_dimension", (a,)))
-        inner = is_cohen_macaulay(deleted, field)
-        if not inner.verdict:
-            return _report("m_cm", field, False,
-                           Witness("deletion_cm", (a, inner.witness)))
-    return _report("m_cm", field, True)
+    witness = _deletion_witness(c, m, field, is_cohen_macaulay, "deletion_cm")
+    return _report("m_cm", field, witness is None, witness)
 
 
 @_memoised("buchsbaum")
 def is_buchsbaum(c: Complex, field: CoefficientField) -> PropertyReport:
-    """Pure with every vertex link Cohen-Macaulay of dimension d-2."""
+    """Pure with every vertex link Cohen-Macaulay (so of dimension d-2);
+    the witness is the first failing vertex with its link's witness."""
     if c.is_void:
         raise ValueError("void complex has no Buchsbaum verdict")
     if not c.is_pure:
         return _report("buchsbaum", field, False, _impure_witness(c))
-    for v in c.vertices:
-        link = c.link((v,))
-        if link.dim != c.dim - 1:
-            return _report("buchsbaum", field, False,
-                           Witness("vertex_link", (v, None)))
-        inner = is_cohen_macaulay(link, field)
-        if not inner.verdict:
-            return _report("buchsbaum", field, False,
-                           Witness("vertex_link", (v, inner.witness)))
+    for v, sigma, i in _failing_vertex_links(c, field, False):
+        return _report("buchsbaum", field, False, Witness(
+            "vertex_link", (v, Witness("link_homology", (sigma, i)))))
     return _report("buchsbaum", field, True)
 
 
@@ -296,46 +319,22 @@ def is_m_buchsbaum_star(c: Complex, m: int,
     base = is_buchsbaum(c, field)
     if not base.verdict:
         return _report("m_buchsbaum_star", field, False, base.witness)
-    if m == 0:
-        return _report("m_buchsbaum_star", field, True)
-    dim = c.dim
-    for a in _vertex_subsets(c, m - 1):
-        deleted = c.delete(a)
-        if deleted.dim != dim:
-            return _report("m_buchsbaum_star", field, False,
-                           Witness("deletion_dimension", (a,)))
-        inner = is_buchsbaum_star(deleted, field)
-        if not inner.verdict:
-            return _report("m_buchsbaum_star", field, False,
-                           Witness("deletion_buchsbaum_star", (a, inner.witness)))
-    return _report("m_buchsbaum_star", field, True)
-
-
-def _sphere_betti(top: int) -> tuple:
-    values = [0] * (top + 2)
-    values[-1] = 1
-    return tuple(values)
+    witness = _deletion_witness(c, m, field, is_buchsbaum_star,
+                                "deletion_buchsbaum_star")
+    return _report("m_buchsbaum_star", field, witness is None, witness)
 
 
 @_memoised("homology_manifold")
 def is_homology_manifold(c: Complex, field: CoefficientField) -> PropertyReport:
-    """Pure, with every non-empty face link having the homology of a sphere
-    of the link's dimension (closed manifolds only)."""
+    """Pure, with the link of every non-empty face having the reduced
+    homology of a sphere of the link's dimension (closed manifolds only),
+    checked through the vertex links (see _link_witness)."""
     if c.is_void:
         raise ValueError("void complex has no manifold verdict")
     if not c.is_pure:
         return _report("homology_manifold", field, False, _impure_witness(c))
-    for sigma in c.faces_sorted():
-        if not sigma:
-            continue
-        link = c.link(sigma)
-        betti = reduced_betti(link, field)
-        if tuple(betti.values) != _sphere_betti(link.dim):
-            bad = next(i for i in range(-1, link.dim + 1)
-                       if betti[i] != _sphere_betti(link.dim)[i + 1])
-            return _report("homology_manifold", field, False,
-                           Witness("link_sphere", (sigma, bad)))
-    return _report("homology_manifold", field, True)
+    witness = _link_witness(c, field, True)
+    return _report("homology_manifold", field, witness is None, witness)
 
 
 def find_balanced_coloring(c: Complex, max_nodes: int = 10_000_000):
@@ -405,10 +404,11 @@ def revalidate_witness(c: Complex, report: PropertyReport,
     if w.kind == "not_pure":
         a, b = w.data
         return len(a) != len(b) and a in c.faces() and b in c.faces()
-    if w.kind == "link_homology":
+    if w.kind in ("link_homology", "link_sphere"):
         sigma, i = w.data
         link = c.link(sigma)
-        return i < link.dim and reduced_betti(link, field)[i] != 0
+        return ((w.kind == "link_sphere" or i < link.dim)
+                and reduced_betti(link, field)[i] != (i == link.dim))
     if w.kind == "deletion_dimension":
         (a,) = w.data
         return c.delete(a).dim != c.dim
@@ -433,9 +433,4 @@ def revalidate_witness(c: Complex, report: PropertyReport,
         deleted = c.delete(a)
         return (deleted.dim != c.dim
                 or not is_buchsbaum_star(deleted, field).verdict)
-    if w.kind == "link_sphere":
-        sigma, i = w.data
-        link = c.link(sigma)
-        expected = 1 if i == link.dim else 0
-        return reduced_betti(link, field)[i] != expected
     raise ValueError(f"unknown witness kind {w.kind!r}")

@@ -89,12 +89,26 @@ MUTANTS = {
         (SUITES + "test_suite_reports_are_byte_identical",
          SUITES + "test_claims_read_no_corpus_id"),
     ),
-    "the CM fast path with its degree bound off by one": (
+    "the Cohen-Macaulay degree bound off by one": (
         "properties.py",
-        """    if (not any(betti[i] for i in range(-1, c.dim))""",
-        """    if (not any(betti[i] for i in range(-1, c.dim - 1))""",
+        """    top = link.dim if sphere else link.dim - 1""",
+        """    top = link.dim if sphere else link.dim - 2""",
         (PROPERTIES + "test_cm_disconnected_fails_with_witness",
          PROPERTIES + "test_cm_verdict_and_witness_match_the_plain_scan"),
+    ),
+    "the Cohen-Macaulay witness comes from the first failing vertex, "
+    "not the least face": (
+        "properties.py",
+        """        least = min(least, found) if least else found""",
+        """        least = least or found""",
+        (PROPERTIES + "test_cm_verdict_and_witness_match_the_plain_scan",),
+    ),
+    "the manifold check skips the Betti numbers of a vertex link": (
+        "properties.py",
+        """        if sphere and (bad := _link_defect(link, field, True)) is not None:""",
+        """        if False and (bad := _link_defect(link, field, True)) is not None:""",
+        (PROPERTIES + "test_homology_manifold",
+         PROPERTIES + "test_manifold_verdict_and_witness_match_the_plain_scan"),
     ),
     "a face's star keeps its parent's faces": (
         "homology.py",

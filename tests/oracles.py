@@ -219,6 +219,33 @@ def oracle_cm_violation(facets, p=None):
     return None
 
 
+def oracle_manifold_violation(facets, p=None):
+    """The homology-manifold scan that bstar's vertex-link loop replaced:
+    ("not_pure", (a shortest facet, a longest facet)) for facets of mixed
+    sizes, taken in the given order; otherwise ("link_sphere", (sigma, i))
+    for the first non-empty face sigma, in (dimension, lexicographic)
+    order, whose link's reduced Betti numbers differ from a sphere's of
+    the link's dimension, with the lowest such degree i; None for a
+    homology manifold.  Every link is rebuilt from the facets and its
+    homology recomputed with sympy."""
+    by_len = sorted(facets, key=len)
+    if len(by_len[0]) != len(by_len[-1]):
+        return "not_pure", (tuple(by_len[0]), tuple(by_len[-1]))
+    faces = downward_closure(facets)
+    for sigma in sorted(faces, key=lambda f: (len(f), [_key(v) for v in f])):
+        if not sigma:
+            continue
+        link = [[v for v in f if v not in sigma]
+                for f in facets if set(sigma) <= set(f)]
+        betti = oracle_betti(link, p)
+        top = len(betti) - 2
+        bad = next((i for i in range(-1, top + 1)
+                    if betti[i + 1] != (1 if i == top else 0)), None)
+        if bad is not None:
+            return "link_sphere", (sigma, bad)
+    return None
+
+
 def oracle_restriction_surjective(facets, sigma, tau, p=None):
     """Whether H_top(Delta, cost sigma) -> H_top(Delta, cost tau) is onto,
     for a pure complex and faces sigma within tau (sigma empty: absolute

@@ -7,8 +7,9 @@ import itertools
 import json
 import time
 
-from bstar import (QQ, build, clear_caches, is_buchsbaum_star, parse_text,
-                   run_suite, stacked_cross_polytopal_sphere)
+from bstar import (QQ, build, clear_caches, is_buchsbaum_star,
+                   is_homology_manifold, parse_text, run_suite,
+                   stacked_cross_polytopal_sphere)
 from bstar.cli import main
 
 
@@ -160,4 +161,15 @@ def test_scale_buchsbaum_star_of_a_stacked_cross_polytopal_sphere():
     clear_caches()
     report = _timed("scale: is_buchsbaum_star of scps(600, 3) over Q", 1.0,
                     lambda: is_buchsbaum_star(cx, QQ))
+    assert report.verdict
+
+
+def test_scale_homology_manifold_of_a_stacked_cross_polytopal_sphere():
+    # the faces are read through the memoised reports of the vertex links,
+    # shared between links equal up to an order-preserving relabelling,
+    # not by building each face's link and computing its homology
+    cx, _ = stacked_cross_polytopal_sphere(1200, 3)
+    clear_caches()
+    report = _timed("scale: is_homology_manifold of scps(1200, 3) over Q", 1.0,
+                    lambda: is_homology_manifold(cx, QQ))
     assert report.verdict

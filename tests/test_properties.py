@@ -11,7 +11,8 @@ from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    revalidate_witness, simplex, simplex_boundary,
                    stacked_cross_polytopal_sphere)
 from bstar import clear_caches, linalg
-from oracles import check_frozen_record, oracle_cm_violation
+from oracles import (check_frozen_record, oracle_cm_violation,
+                     oracle_manifold_violation)
 
 
 def test_cm_spheres_and_paths():
@@ -388,9 +389,13 @@ _tetrahedra = st.lists(st.sets(st.integers(0, 5), min_size=4, max_size=4),
 @example(named("rp2_min"))                          # CM over Q and F3 only
 @example(build([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (1, 2, 3, 4),
                 (0, 2, 3, 5)]))
+# the first failing vertex, 3, fails at (3, 4); the first face is (4,)
+@example(build([(1, 2, 3, 4), (1, 2, 4, 6), (3, 4, 5, 6)]))
 def test_cm_verdict_and_witness_match_the_plain_scan(c):
-    # is_cohen_macaulay answers CM complexes from memoised vertex links;
-    # its verdict and first-violation witness must be the plain scan's
+    # is_cohen_macaulay reads every non-empty face through the memoised
+    # vertex links; its verdict and first-violation witness must be the
+    # plain scan's.  is_buchsbaum of a pure complex must name the first
+    # vertex whose link fails the scan, with the scan's witness.
     from bstar import GF3, Witness
     for field in (QQ, GF2, GF3):
         violation = oracle_cm_violation(c.facets, field.p)
@@ -398,6 +403,36 @@ def test_cm_verdict_and_witness_match_the_plain_scan(c):
         assert rep.verdict == (violation is None), (c, field)
         assert rep.witness == (violation and Witness("link_homology",
                                                      violation)), (c, field)
+        if not c.is_pure:
+            continue
+        links = {v: [[x for x in f if x != v] for f in c.facets if v in f]
+                 for v in c.vertices}
+        first = next(((v, Witness("link_homology", inner)) for v in c.vertices
+                      if (inner := oracle_cm_violation(links[v], field.p))),
+                     None)
+        assert is_buchsbaum(c, field).witness == (
+            first and Witness("vertex_link", first)), (c, field)
+
+
+@settings(max_examples=80)
+@given(st.one_of(small_mixed_complexes, _tetrahedra))
+@example(build([()]))
+@example(build([(1,), (2,), (3,)]))
+@example(named("rp2_min"))                  # a manifold over every field
+@example(named("bowtie2d"))                 # fails first at vertex 1, in degree 1
+@example(named("cone_over_square"))         # a ball: fails at the boundary
+@example(named("two_octahedra_disjoint"))
+@example(build([(1, 2), (2, 3), (1, 3), (3, 4)]))
+def test_manifold_verdict_and_witness_match_the_plain_scan(c):
+    # is_homology_manifold reads the face (v,) on the Betti numbers of lk v
+    # and larger faces through the memoised report of lk v; its verdict
+    # and first-violation witness must be the plain scan's
+    from bstar import GF3, Witness
+    for field in (QQ, GF2, GF3):
+        violation = oracle_manifold_violation(c.facets, field.p)
+        rep = is_homology_manifold(c, field)
+        assert rep.verdict == (violation is None), (c, field)
+        assert rep.witness == (violation and Witness(*violation)), (c, field)
 
 
 def test_relabelled_cross_polytope_stores_no_new_cm_entry():
