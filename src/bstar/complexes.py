@@ -4,16 +4,19 @@ Vertices are integer or string labels, faces are sorted duplicate-free
 tuples of labels, and every complex is canonical: facets are deduplicated,
 inclusion-dominated entries are dropped, and all outputs use a fixed
 lexicographic order (integers before strings).  Complexes are immutable
-after construction, so every operation returns a fresh canonical complex
-and may be evaluated concurrently without coordination.
+after construction, so every operation returns a canonical complex (the
+complex itself when nothing changes) and may be evaluated concurrently
+without coordination.
 
 A complex stores only its sorted vertices and its index form: the facets
 with every vertex replaced by its position in ``vertices``.  The index form
 is again canonical, and two complexes share it exactly when an
-order-preserving relabelling takes one to the other.  Label facets are
-derived on first use.  ``build`` sorts the labels once, and ``link``,
-``delete`` and ``connected_components`` work on positions and bitmasks
-(bit i for the i-th vertex), so they sort no labels.
+order-preserving relabelling takes one to the other.  ``build`` sorts the
+labels once.  Inside, faces are positions and bitmasks (bit i for the i-th
+vertex).  Labels come in only through the face gate (``canonical_face``,
+``face_mask``, ``vertex_mask``) and go out only through the label views
+(``facets``, ``faces``, ``faces_of_dim``, ``faces_sorted``,
+``missing_faces``).
 
 Faces are derived from one face table per complex: per size, the faces
 as position tuples in lexicographic order, which is also the order of the
@@ -343,6 +346,8 @@ class Complex:
         if unknown:
             raise UnknownVertexError(
                 f"not vertices of the complex: {sorted(unknown, key=label_key)!r}")
+        if not rem:
+            return self
         rm = self.vertex_mask(rem)
         stripped = {}
         for f, m in zip(self.index_form, self._facet_masks()):
@@ -390,53 +395,29 @@ class Complex:
 
     def missing_faces(self) -> list:
         """Minimal non-faces: tau not in the complex with every proper
-        subset a face.  Missing faces have 2 <= |tau| <= dim + 2."""
+        subset a face, by size, then lexicographically.  Missing faces have
+        2 <= |tau| <= dim + 2."""
         if self.is_void:
             raise ComplexError("missing faces of the void complex are undefined")
-        fs = self.faces()
+        table = self.face_table()
+        fs = set(itertools.chain.from_iterable(table))
         out = []
-        for size in range(2, self.dim + 3):
-            for cand in itertools.combinations(self.vertices, size):
-                if cand in fs:
-                    continue
-                if all(sub in fs
-                       for sub in itertools.combinations(cand, size - 1)):
+        # a candidate without its last vertex is a face, so the candidates
+        # of each size come, in lexicographic order, from the faces one
+        # smaller, each extended by a later vertex
+        for f in itertools.chain.from_iterable(table[1:]):
+            for v in range(f[-1] + 1, self.n_vertices):
+                cand = f + (v,)
+                if cand not in fs and all(
+                        sub in fs for sub in itertools.combinations(cand, len(f))):
                     out.append(cand)
-        return out
+        label = self.vertices.__getitem__
+        return [tuple(map(label, m)) for m in out]
 
     @property
     def is_flag(self) -> bool:
         """True when every missing face has exactly two vertices."""
         return all(len(m) == 2 for m in self.missing_faces())
-
-    def connected_components(self) -> list:
-        """Partition by connectivity of the 1-skeleton; isolated vertices
-        are their own components."""
-        if self.is_void:
-            raise ComplexError("components of the void complex are undefined")
-        if not self.vertices:
-            return [self]
-        parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for f in self.index_form:
-            for a, b in zip(f, f[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        # components in the order of their first facets
-        groups: dict = {}
-        masks: dict = {}
-        for f, m in zip(self.index_form, self._facet_masks()):
-            root = find(f[0])
-            groups.setdefault(root, []).append(f)
-            masks[root] = masks.get(root, 0) | m
-        return [self._induced(g, masks[root]) for root, g in groups.items()]
 
     def relabel(self, mapping: Mapping[Label, Label]) -> "Complex":
         """Rename vertices through a bijective mapping covering all vertices."""

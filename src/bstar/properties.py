@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .complexes import Complex, NotPureError, Record, build, label_key
+from .complexes import Complex, NotPureError, Record, label_key
 from .homology import (_in_order, _memo, _sweep, reduced_betti,
                        top_restriction_surjective)
 from .linalg import CoefficientField, InvariantError
@@ -53,9 +53,6 @@ class Coloring(Record):
 
     __slots__ = ("assignment", "d")
 
-    def color_set(self, face) -> frozenset:
-        return frozenset(self.assignment[v] for v in face)
-
     def validate(self, c: Complex) -> None:
         """Raise ColoringError unless this is a proper coloring of the
         1-skeleton by colors from [d] covering every vertex."""
@@ -73,9 +70,10 @@ class Coloring(Record):
                     f"edge {[c.vertices[i], c.vertices[j]]!r} has both ends "
                     f"colored {colors[i]}")
         if c.is_pure and not c.is_void and c.dim + 1 == self.d:
-            for f in c.facets:
-                if len(self.color_set(f)) != len(f):
-                    raise InvariantError(f"facet {list(f)!r} repeats a color")
+            for f in c.index_form:
+                if len({colors[i] for i in f}) != len(f):
+                    raise InvariantError(
+                        f"facet {[c.vertices[i] for i in f]!r} repeats a color")
 
     def as_sorted_dict(self) -> dict:
         return {v: self.assignment[v]
@@ -347,49 +345,50 @@ def find_balanced_coloring(c: Complex, max_nodes: int = 10_000_000):
     if c.is_void or not c.is_pure:
         raise NotPureError("balancedness is defined for pure complexes")
     d = c.dim + 1
-    adj = {v: set() for v in c.vertices}
-    for e in c.faces_of_dim(1):
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
-    order = sorted(c.vertices, key=lambda v: (-len(adj[v]), label_key(v)))
-    assignment: dict = {}
+    table = c.face_table()
+    adj = [set() for _ in c.vertices]   # by vertex position
+    for i, j in table[2] if len(table) > 2 else ():
+        adj[i].add(j)
+        adj[j].add(i)
+    # positions follow the label order, and the sort is stable
+    order = sorted(range(len(adj)), key=lambda i: -len(adj[i]))
+    colors = [0] * len(adj)     # 0 while uncoloured
     tried = [0] * len(order)    # the colour last tried at each position
     nodes = 0
     pos = 0
     while 0 <= pos < len(order):
         v = order[pos]
-        assignment.pop(v, None)
+        colors[v] = 0
         color = tried[pos]
         while color < d:
             color += 1
             nodes += 1
             if nodes > max_nodes:
                 return UNKNOWN
-            if not any(assignment.get(u) == color for u in adj[v]):
+            if not any(colors[u] == color for u in adj[v]):
                 break
         else:   # every colour failed: back to the previous position
             tried[pos] = 0
             pos -= 1
             continue
         tried[pos] = color
-        assignment[v] = color
+        colors[v] = color
         pos += 1
     if pos < 0:
         return None
-    coloring = Coloring(dict(assignment), d)
+    coloring = Coloring({c.vertices[v]: colors[v] for v in order}, d)
     coloring.validate(c)
     return coloring
 
 
 def rank_selected(c: Complex, coloring: Coloring, colors) -> Complex:
-    """Subcomplex of the faces whose colors lie in the given color set."""
+    """Subcomplex of the faces whose colors lie in the given color set:
+    the restriction to the vertices colored in it."""
     coloring.validate(c)
     s = set(colors)
     if not s.issubset(range(1, coloring.d + 1)):
         raise ColoringError(f"color set {sorted(s)!r} not within [{coloring.d}]")
-    gens = [tuple(v for v in f if coloring.assignment[v] in s)
-            for f in c.facets]
-    return build(gens)
+    return c.delete([v for v in c.vertices if coloring.assignment[v] not in s])
 
 
 def revalidate_witness(c: Complex, report: PropertyReport,
@@ -403,7 +402,7 @@ def revalidate_witness(c: Complex, report: PropertyReport,
     w = report.witness
     if w.kind == "not_pure":
         a, b = w.data
-        return len(a) != len(b) and a in c.faces() and b in c.faces()
+        return len(a) != len(b) and c.has_face(a) and c.has_face(b)
     if w.kind in ("link_homology", "link_sphere"):
         sigma, i = w.data
         link = c.link(sigma)

@@ -25,7 +25,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+COMPLEXES = "tests/test_complexes.py::"
 HOMOLOGY = "tests/test_homology.py::"
+LEDGER = ("tests/test_ledger.py::test_ledger_digest[cold]",
+          "tests/test_ledger.py::test_ledger_digest[warm]")
 LINALG = "tests/test_linalg.py::"
 PROPERTIES = "tests/test_properties.py::"
 SUITES = "tests/test_suites.py::"
@@ -144,6 +147,21 @@ MUTANTS = {
         """        if 1 in values or -1 in values:""",
         """        if 1 in values:""",
         (LINALG + "test_fallbacks_move_the_field_dependence_counter",),
+    ),
+    "missing_faces skips its proper-subset check": (
+        "complexes.py",
+        """sub in fs for sub""",
+        """sub in fs or True for sub""",
+        (COMPLEXES + "test_missing_faces_examples",
+         COMPLEXES + "test_missing_faces_match_the_label_scan", *LEDGER),
+    ),
+    "rank_selected deletes the selected colours instead of the others": (
+        "properties.py",
+        """coloring.assignment[v] not in s])""",
+        """coloring.assignment[v] in s])""",
+        (PROPERTIES + "test_rank_selected",
+         PROPERTIES + "test_rank_selection_matches_the_built_selection",
+         *LEDGER),
     ),
 }
 

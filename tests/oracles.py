@@ -13,7 +13,10 @@ build on bstar's Matrix and rank.  So is ``check_frozen_record``, which the
 record tests share, and so are ``scanned_star``, the scan of every mask
 for the faces containing a face, which bstar.homology's stars replaced,
 and ``scanned_top_star``, the per-face restriction test that its sweep
-replaced, each kept as the reference.
+replaced, each kept as the reference.  So are ``labelled_missing_faces``,
+``labelled_balanced_coloring`` and ``built_rank_selection``, which work on
+label tuples as bstar did before its missing faces, coloring search and
+rank selection moved to vertex positions.
 """
 
 import itertools
@@ -26,7 +29,8 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from bstar import Matrix, ShapeError, kernel_basis, rank
+from bstar import (UNKNOWN, Coloring, Matrix, ShapeError, build,
+                   kernel_basis, rank)
 from bstar.homology import _chain_data
 
 
@@ -463,3 +467,52 @@ def scanned_top_star(c, face, field):
     cycles = kernel_basis(top, field)   # rows keyed by facet basis index
     onto = z_dim == 0 or rank(cycles.take_rows(facets), field) == z_dim
     return z_dim, onto
+
+
+def labelled_missing_faces(c):
+    """The minimal non-faces of c, by size, then lexicographically: every
+    vertex subset of 2 .. dim + 2 labels tried against the label faces."""
+    fs = c.faces()
+    return [cand for size in range(2, c.dim + 3)
+            for cand in itertools.combinations(c.vertices, size)
+            if cand not in fs
+            and all(sub in fs for sub in itertools.combinations(cand, size - 1))]
+
+
+def labelled_balanced_coloring(c, max_nodes):
+    """bstar's backtracking search for a proper (dim+1)-coloring of a pure
+    complex, on labels: vertices by decreasing degree, then by label;
+    UNKNOWN once more than max_nodes colours have been tried."""
+    d = c.dim + 1
+    adj = {v: set() for v in c.vertices}
+    for a, b in c.faces_of_dim(1):
+        adj[a].add(b)
+        adj[b].add(a)
+    order = sorted(c.vertices, key=lambda v: (-len(adj[v]), _key(v)))
+    assignment, tried, nodes, pos = {}, [0] * len(order), 0, 0
+    while 0 <= pos < len(order):
+        v = order[pos]
+        assignment.pop(v, None)
+        color = tried[pos]
+        while color < d:
+            color += 1
+            nodes += 1
+            if nodes > max_nodes:
+                return UNKNOWN
+            if not any(assignment.get(u) == color for u in adj[v]):
+                break
+        else:
+            tried[pos] = 0
+            pos -= 1
+            continue
+        tried[pos] = color
+        assignment[v] = color
+        pos += 1
+    return None if pos < 0 else Coloring(assignment, d)
+
+
+def built_rank_selection(c, coloring, colors):
+    """The complex generated by every facet cut down to its vertices of a
+    colour in ``colors``."""
+    return build([tuple(v for v in f if coloring.assignment[v] in colors)
+                  for f in c.facets])

@@ -12,8 +12,8 @@ from bstar import (QQ, ComplexError, FaceNotPresentError,
                    simplex_boundary)
 from bstar.homology import _chain_data
 
-from oracles import (dense_rows, downward_closure, oracle_bases,
-                     oracle_boundaries, oracle_components, oracle_f_vector,
+from oracles import (dense_rows, downward_closure, labelled_missing_faces,
+                     oracle_bases, oracle_boundaries, oracle_f_vector,
                      oracle_maximal_faces)
 
 small_faces = st.sets(st.integers(0, 6), min_size=1, max_size=4)
@@ -141,7 +141,7 @@ def test_contrastar_empty_face_rejected(octahedron):
 
 
 def test_delete_nothing_is_identity(octahedron):
-    assert octahedron.delete(()) == octahedron
+    assert octahedron.delete(()) is octahedron
 
 
 def test_delete_octahedron_vertex(octahedron):
@@ -199,16 +199,23 @@ def test_missing_faces_examples(octahedron, triangle_boundary):
     assert octahedron.missing_faces() == [("x1", "y1"), ("x2", "y2"),
                                           ("x3", "y3")]
     assert octahedron.is_flag
+    assert build([[]]).missing_faces() == [] and build([[]]).is_flag
+    assert build([(0,), ("a",)]).missing_faces() == [(0, "a")]
 
 
-def test_connected_components(octahedron, triangle_boundary):
-    assert len(octahedron.connected_components()) == 1
-    two = build([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    comps = two.connected_components()
-    assert len(comps) == 2
-    assert all(c == triangle_boundary or c.n_vertices == 3 for c in comps)
-    pts = build([(1,), (2,), (3,)])
-    assert len(pts.connected_components()) == 3
+# ints and strs for relabelling, so that vertex positions leave label order
+MIXED_LABELS = (0, 3, 4, 8, 12, "a", "b", "k", "x", "z")
+
+
+@given(facet_lists, st.permutations(MIXED_LABELS))
+def test_missing_faces_match_the_label_scan(fl, labels):
+    # missing faces are found on positions and mapped to labels once; the
+    # label scan tries every vertex subset against the label faces
+    c = build(fl)
+    c = c.relabel(dict(zip(c.vertices, labels)))
+    want = labelled_missing_faces(c)
+    assert c.missing_faces() == want
+    assert c.is_flag == all(len(m) == 2 for m in want)
 
 
 def test_relabel_roundtrip(octahedron):
@@ -368,14 +375,12 @@ def _fresh(c):
 
 @given(mixed_facet_lists, st.data())
 def test_link_and_delete_carry_the_index_form_of_their_labels(fl, data):
-    # link, delete and connected_components hand their result its vertices
-    # and index form, built from the parent's vertex positions rather than
-    # from the new labels
+    # link and delete hand their result its vertices and index form, built
+    # from the parent's vertex positions rather than from the new labels
     c = build(fl)
     faces = c.faces_sorted()
     removed = data.draw(st.sets(st.sampled_from(c.vertices), max_size=3))
-    for child in (c.link(data.draw(st.sampled_from(faces))), c.delete(removed),
-                  *c.connected_components()):
+    for child in (c.link(data.draw(st.sampled_from(faces))), c.delete(removed)):
         fresh = _fresh(child)
         assert child.facets == fresh.facets
         assert child.vertices == fresh.vertices
@@ -439,14 +444,3 @@ def test_build_matches_the_pairwise_dominance_oracle(fl):
     assert c.index_form == tuple(tuple(map(c.vertices.index, f)) for f in want)
     assert c.facets == tuple(tuple(c.vertices[i] for i in f)
                              for f in c.index_form)
-
-
-@given(mixed_facet_lists)
-@example([[]])
-def test_connected_components_are_the_shared_vertex_classes(fl):
-    c = build(fl)
-    comps = c.connected_components()
-    assert [list(x.facets) for x in comps] == oracle_components(c.facets)
-    for x in comps:
-        assert x.vertices == tuple(v for v in c.vertices
-                                   if any(v in f for f in x.facets))

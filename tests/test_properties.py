@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,13 @@ from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
                    is_doubly_buchsbaum, is_homology_manifold,
                    is_m_buchsbaum_star, is_m_cm, multi_point_join,
-                   named, rank_selected,
-                   revalidate_witness, simplex, simplex_boundary,
-                   stacked_cross_polytopal_sphere)
+                   named, random_balanced_complex, random_pure_complex,
+                   rank_selected, revalidate_witness, simplex,
+                   simplex_boundary, stacked_cross_polytopal_sphere)
 from bstar import clear_caches, linalg
-from oracles import (check_frozen_record, oracle_cm_violation,
-                     oracle_manifold_violation)
+from oracles import (built_rank_selection, check_frozen_record,
+                     labelled_balanced_coloring, oracle_cm_violation,
+                     oracle_components, oracle_manifold_violation)
 
 
 def test_cm_spheres_and_paths():
@@ -154,7 +157,7 @@ def test_find_balanced_coloring_on_a_long_path():
 
 def test_rank_selected(octahedron_colored):
     octahedron, coloring = octahedron_colored
-    assert rank_selected(octahedron, coloring, {1, 2, 3}) == octahedron
+    assert rank_selected(octahedron, coloring, {1, 2, 3}) is octahedron
     square = rank_selected(octahedron, coloring, {1, 2})
     assert square.dim == 1 and len(square.faces_of_dim(1)) == 4
     empty = rank_selected(octahedron, coloring, set())
@@ -164,6 +167,59 @@ def test_rank_selected(octahedron_colored):
     bad = Coloring({v: 1 for v in octahedron.vertices}, 3)
     with pytest.raises(ColoringError):
         rank_selected(octahedron, bad, {1})
+
+
+# ints and strs for relabelling, so that vertex positions leave label order
+MIXED_LABELS = (0, 3, 4, 8, 12, "a", "b", "k", "x", "z")
+
+
+@st.composite
+def pure_complexes(draw):
+    """A random balanced or random pure complex, relabelled by MIXED_LABELS."""
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        c = random_balanced_complex(seed)[0]
+    else:
+        n = draw(st.integers(1, 7))
+        dim = draw(st.integers(0, min(n - 1, 2)))
+        c = random_pure_complex(seed, n, dim,
+                                draw(st.integers(1, comb(n, dim + 1))))
+    labels = draw(st.permutations(MIXED_LABELS))
+    return c.relabel(dict(zip(c.vertices, labels)))
+
+
+@given(pure_complexes(), st.one_of(st.integers(1, 30), st.just(10_000_000)))
+def test_balanced_coloring_matches_the_label_search(c, max_nodes):
+    # the search runs on vertex positions; the label search it replaced
+    # gives the same result, tries as many colours before UNKNOWN and
+    # assigns the vertices in the same order
+    got = find_balanced_coloring(c, max_nodes)
+    want = labelled_balanced_coloring(c, max_nodes)
+    if isinstance(want, Coloring):
+        assert got.d == want.d
+        assert list(got.assignment.items()) == list(want.assignment.items())
+    else:
+        assert got is want
+
+
+@given(st.integers(0, 10**6), st.integers(0, 2), st.permutations(MIXED_LABELS),
+       st.sets(st.integers(1, 5)))
+@example(0, 0, MIXED_LABELS, set())
+@example(3, 2, MIXED_LABELS[::-1], {1, 4, 5})
+def test_rank_selection_matches_the_built_selection(seed, extra, labels, colors):
+    # rank selection deletes the vertices of the other colours; building
+    # from the cut-down facets gives the same complex, also for the empty
+    # colour set and for colours (up to extra) that no vertex has
+    c, coloring = random_balanced_complex(seed)
+    rename = dict(zip(c.vertices, labels))
+    c = c.relabel(rename)
+    coloring = Coloring({rename[v]: k for v, k in coloring.assignment.items()},
+                        coloring.d + extra)
+    colors = {k for k in colors if k <= coloring.d}
+    got = rank_selected(c, coloring, colors)
+    want = built_rank_selection(c, coloring, colors)
+    assert (got.facets, got.vertices, got.index_form) == \
+        (want.facets, want.vertices, want.index_form)
 
 
 def test_coloring_validation(octahedron_colored):
@@ -240,14 +296,13 @@ def test_rank_selection_theorem_on_random_balanced_inputs():
 
 def test_one_dimensional_cm_is_connectivity():
     # independent characterization: a pure 1-dimensional complex is CM
-    # over any field exactly when it is connected
-    from bstar import GF2, random_pure_complex
-    from math import comb
+    # over any field exactly when its facets form one class under "shares
+    # a vertex with"
     for seed in range(40):
         n = 4 + seed % 4
         fc = 1 + seed % comb(n, 2)
         c = random_pure_complex(seed, n, 1, fc)
-        connected = len(c.connected_components()) == 1
+        connected = len(oracle_components(c.facets)) == 1
         for f in (QQ, GF2):
             assert is_cohen_macaulay(c, f).verdict == connected, (seed, f)
 
