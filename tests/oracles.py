@@ -469,6 +469,11 @@ def scanned_top_star(c, face, field):
     return z_dim, onto
 
 
+# ints and strs for relabelling a complex, so that vertex positions leave
+# the label order
+MIXED_LABELS = (0, 3, 4, 8, 12, "a", "b", "k", "x", "z")
+
+
 def labelled_missing_faces(c):
     """The minimal non-faces of c, by size, then lexicographically: every
     vertex subset of 2 .. dim + 2 labels tried against the label faces."""

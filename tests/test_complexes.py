@@ -12,9 +12,9 @@ from bstar import (QQ, ComplexError, FaceNotPresentError,
                    simplex_boundary)
 from bstar.homology import _chain_data
 
-from oracles import (dense_rows, downward_closure, labelled_missing_faces,
-                     oracle_bases, oracle_boundaries, oracle_f_vector,
-                     oracle_maximal_faces)
+from oracles import (MIXED_LABELS, dense_rows, downward_closure,
+                     labelled_missing_faces, oracle_bases, oracle_boundaries,
+                     oracle_f_vector, oracle_maximal_faces)
 
 small_faces = st.sets(st.integers(0, 6), min_size=1, max_size=4)
 facet_lists = st.lists(small_faces, min_size=1, max_size=8)
@@ -201,10 +201,6 @@ def test_missing_faces_examples(octahedron, triangle_boundary):
     assert octahedron.is_flag
     assert build([[]]).missing_faces() == [] and build([[]]).is_flag
     assert build([(0,), ("a",)]).missing_faces() == [(0, "a")]
-
-
-# ints and strs for relabelling, so that vertex positions leave label order
-MIXED_LABELS = (0, 3, 4, 8, 12, "a", "b", "k", "x", "z")
 
 
 @given(facet_lists, st.permutations(MIXED_LABELS))

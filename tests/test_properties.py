@@ -13,9 +13,10 @@ from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    rank_selected, revalidate_witness, simplex,
                    simplex_boundary, stacked_cross_polytopal_sphere)
 from bstar import clear_caches, linalg
-from oracles import (built_rank_selection, check_frozen_record,
-                     labelled_balanced_coloring, oracle_cm_violation,
-                     oracle_components, oracle_manifold_violation)
+from oracles import (MIXED_LABELS, built_rank_selection,
+                     check_frozen_record, labelled_balanced_coloring,
+                     oracle_cm_violation, oracle_components,
+                     oracle_manifold_violation)
 
 
 def test_cm_spheres_and_paths():
@@ -167,10 +168,6 @@ def test_rank_selected(octahedron_colored):
     bad = Coloring({v: 1 for v in octahedron.vertices}, 3)
     with pytest.raises(ColoringError):
         rank_selected(octahedron, bad, {1})
-
-
-# ints and strs for relabelling, so that vertex positions leave label order
-MIXED_LABELS = (0, 3, 4, 8, 12, "a", "b", "k", "x", "z")
 
 
 @st.composite
