@@ -77,7 +77,8 @@ from itertools import islice
 
 from .complexes import Complex, NotPureError, Record, index_faces
 from .linalg import (CoefficientField, InvariantError, Matrix,
-                     _depends_on_field, _field_dependence, kernel_basis, rank)
+                     _depends_on_field, _field_dependence, kernel_basis,
+                     pivot_columns, rank)
 
 CACHE_LIMIT = 1 << 16
 _cache: dict = {}
@@ -262,19 +263,34 @@ def _relative_data(c: Complex, t: int, field: CoefficientField):
     Not cached: its callers rarely ask for one (complex, tau, field) twice.
     Each rank is of whole rows of a boundary matrix: a face containing tau
     has all its cofaces, the non-zeros of its row, among the faces
-    containing tau, so restricting the columns too would not change it."""
+    containing tau, so restricting the columns too would not change it.
+    Degrees are ranked upward, each boundary without its rows at the pivot
+    columns of the echelon form below it (clearing).  As the product of
+    two boundaries is zero (checked by :func:`_chain_data` before any
+    rank), each echelon row below is a relation among this boundary's
+    rows, non-zero at its pivot and zero before it, so those rows add no
+    rank.  An empty or thin degree (ranked without elimination) clears
+    nothing."""
     boundaries, masks = _chain_data(c)
     sel = (_stars(c)[t] if t else
            {k - 1: range(len(basis)) for k, basis in enumerate(masks)})
     counts = {deg: len(idx) for deg, idx in sel.items()}
-    ranks = {}
+    ranks, cleared = dict.fromkeys(sel, 0), ()
     for deg in sel:
         rows = sel.get(deg - 1)
+        if rows and cleared:
+            rows = [i for i in rows if i not in cleared]
+        cleared = ()
         if not rows:
-            ranks[deg] = 0
             continue
-        ranks[deg] = rank(boundaries[deg].take_rows(rows) if t
-                          else boundaries[deg], field)
+        m = boundaries[deg]
+        if len(rows) < m.nrows:  # all rows: the boundary itself
+            m = m.take_rows(rows)
+        if m.nrows <= 1 or m.ncols <= 1:
+            ranks[deg] = rank(m, field)
+        else:
+            cleared = pivot_columns(m, field)
+            ranks[deg] = len(cleared)
     return counts, ranks
 
 

@@ -31,6 +31,13 @@ Every result that could differ between fields (a fallback, or a thin
 matrix with no entry 1 or -1) moves a per-thread counter,
 :func:`_field_dependence`.  A caller that finds the counter unmoved
 across a computation over one field may reuse the result for any other.
+
+:func:`pivot_columns` gives the pivot columns of rank's elimination,
+so rank(m) == len(pivot_columns(m)).  When AB = 0, the echelon rows of A
+are independent relations among the rows of B, so B has the rank of its
+rows outside A's pivot columns (clearing).  The pivots hold over every
+field when unit pivots finish, and over the field alone after a
+fallback, which has moved the counter.
 """
 
 from __future__ import annotations
@@ -359,7 +366,13 @@ def rank(m: Matrix, field: CoefficientField) -> int:
         _depends_on_field()
         p = field.p
         return int(not p or any(v % p for v in values))
-    return len(_echelon(m, field, reduced=False))
+    return len(pivot_columns(m, field))
+
+
+def pivot_columns(m: Matrix, field: CoefficientField):
+    """The pivot columns of m's echelon form over the field, a set-like
+    view; unlike :func:`rank`, it eliminates thin matrices too."""
+    return _echelon(m, field, reduced=False).keys()
 
 
 def kernel_basis(m: Matrix, field: CoefficientField) -> Matrix:

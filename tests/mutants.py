@@ -123,6 +123,40 @@ MUTANTS = {
          HOMOLOGY + "test_lemma_relative_equals_shifted_link",
          SUITES + "test_suite_reports_are_byte_identical"),
     ),
+    "cleared pivots survive into every later degree": (
+        "homology.py",
+        """        cleared = ()
+        if not rows:
+            continue
+        m = boundaries[deg]
+        if len(rows) < m.nrows:  # all rows: the boundary itself
+            m = m.take_rows(rows)
+        if m.nrows <= 1 or m.ncols <= 1:
+            ranks[deg] = rank(m, field)
+        else:
+            cleared = pivot_columns(m, field)
+            ranks[deg] = len(cleared)""",
+        """        if not rows:
+            continue
+        m = boundaries[deg]
+        if len(rows) < m.nrows:  # all rows: the boundary itself
+            m = m.take_rows(rows)
+        if m.nrows <= 1 or m.ncols <= 1:
+            ranks[deg] = rank(m, field)
+        else:
+            pivots = pivot_columns(m, field)
+            cleared = {*cleared, *pivots}
+            ranks[deg] = len(pivots)""",
+        (HOMOLOGY + "test_cleared_ranks_match_the_uncleared_ranks",
+         HOMOLOGY + "test_stars_match_the_scan_at_every_face", *LEDGER),
+    ),
+    "clearing drops one row more than the pivots": (
+        "homology.py",
+        """            rows = [i for i in rows if i not in cleared]""",
+        """            rows = [i for i in rows if i not in cleared][1:]""",
+        (HOMOLOGY + "test_cleared_ranks_match_the_uncleared_ranks",
+         HOMOLOGY + "test_stars_match_the_scan_at_every_face", *LEDGER),
+    ),
     "kernel_basis reduces F_p entries mod p": (
         "linalg.py",
         """        solved = {position[j]: -v * ratio for j, v in row.items() if j != lead}""",

@@ -7,8 +7,8 @@ import itertools
 import json
 import time
 
-from bstar import (QQ, build, clear_caches, is_buchsbaum_star,
-                   is_homology_manifold, parse_text, run_suite,
+from bstar import (QQ, build, clear_caches, cross_polytope, is_buchsbaum_star,
+                   is_homology_manifold, parse_text, reduced_betti, run_suite,
                    stacked_cross_polytopal_sphere)
 from bstar.cli import main
 
@@ -173,3 +173,14 @@ def test_scale_homology_manifold_of_a_stacked_cross_polytopal_sphere():
     report = _timed("scale: is_homology_manifold of scps(1200, 3) over Q", 1.0,
                     lambda: is_homology_manifold(cx, QQ))
     assert report.verdict
+
+
+def test_scale_betti_numbers_of_the_9_cross_polytope():
+    # 19,682 non-empty faces; each boundary is ranked without the rows at
+    # the pivot columns of the degree below, so building the chain data,
+    # not elimination, takes most of the time
+    cx, _ = cross_polytope(9)
+    clear_caches()
+    betti = _timed("scale: reduced_betti of cross_polytope(9) over Q", 1.0,
+                   lambda: reduced_betti(cx, QQ))
+    assert tuple(betti) == (0,) * 9 + (1,)

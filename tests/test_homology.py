@@ -300,6 +300,7 @@ def test_sweep_matches_the_scan_at_every_face(fl, field):
 @example([()], QQ)                                  # no non-empty face
 @example([(0, 1, 2), (2, 3), (4,)], GF2)            # not pure
 @example(RP2, GF3)
+@example([(0, 1, 2, 3, 4), (0, 5)], QQ)             # a 4-simplex and an edge
 def test_stars_match_the_scan_at_every_face(fl, field):
     """Each face's star is filtered from its parent's; the scan of every
     mask gives the same basis indices at every non-empty face and degree,
@@ -317,6 +318,45 @@ def test_stars_match_the_scan_at_every_face(fl, field):
                  if scan.get(deg - 1) else 0 for deg in scan}
         assert homology._relative_data(c, c.vertex_mask(face), field) == (
             {deg: len(idx) for deg, idx in scan.items()}, ranks), face
+
+
+@settings(max_examples=40)
+@given(st.one_of(facet_lists, pure_facet_lists),
+       st.sampled_from([QQ, GF2, GF3]))
+@example(RP2, QQ)
+@example(RP2, GF2)
+@example(TORSION_FACETS, QQ)                        # every field falls back,
+@example(TORSION_FACETS, GF2)                       # so clearing uses the
+@example(TORSION_FACETS, GF3)                       # field's own pivots
+@example([()], GF3)                                 # no boundary to rank
+@example([(0, 1, 2), (2, 3), (4,)], GF2)            # not pure
+@example([(0, 1, 2, 3, 4), (0, 5)], QQ)             # a 4-simplex and an edge
+def test_cleared_ranks_match_the_uncleared_ranks(fl, field):
+    """Each boundary is ranked without the rows at the pivot columns of the
+    degree below; at the empty face and at every non-empty face the ranks
+    are those of the whole rows of the faces containing it.  A result
+    that did not move the field-dependence counter holds over every
+    field."""
+    c = build(fl)
+    boundaries, masks = homology._chain_data(c)
+    selections = {0: {k - 1: range(len(basis))
+                      for k, basis in enumerate(masks)}}
+    for face in c.faces_sorted():
+        if face:
+            selections[c.vertex_mask(face)] = scanned_star(c, face)
+
+    def uncleared(sel, f):
+        return {deg: rank(boundaries[deg].take_rows(sel[deg - 1]), f)
+                if sel.get(deg - 1) else 0 for deg in sel}
+
+    for t, sel in selections.items():
+        before = linalg._field_dependence()
+        counts, ranks = homology._relative_data(c, t, field)
+        moved = linalg._field_dependence() != before
+        assert counts == {deg: len(idx) for deg, idx in sel.items()}, t
+        assert ranks == uncleared(sel, field), t
+        if not moved:
+            assert all(ranks == uncleared(sel, f) for f in (QQ, GF2, GF3)), t
 
 
 @settings(max_examples=25)

@@ -1,15 +1,16 @@
 import threading
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bstar import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
                    Matrix, ShapeError, corpus, kernel_basis, rank)
 from bstar import homology, linalg
-from bstar.linalg import product_is_zero
+from bstar.linalg import pivot_columns, product_is_zero
 
 from oracles import (dense_rows, identity, oracle_kernel_basis, oracle_rank,
                      oracle_rref, span_contains, span_dim, sympy_kernel_basis,
@@ -367,6 +368,28 @@ def test_rank_and_kernel_match_sympy_on_both_paths(m):
     # when unit pivots finish, one int kernel serves every field
     if linalg._eliminated(m.rows, 0, True) is not None:
         assert all(k == kernels[0] for k in kernels)
+
+
+@given(small_int_matrices)
+@example(TRIANGLE_D1)                          # unit pivots finish
+@example(Matrix.from_rows([[2, 1], [1, 0]]))   # its first pivot would be 2
+@example(Matrix.from_rows([[1, 1], [1, -1]]))  # rank 1 over F2
+def test_pivot_columns_match_the_fraction_oracle_on_both_paths(m):
+    """The pivot columns are those of the RREF over each field, whether
+    unit pivots finish or the elimination over the field is forced, and
+    the rank is their number."""
+    eliminated = linalg._eliminated
+
+    def fallback_only(rows, p, reduced):
+        return None if p == 0 else eliminated(rows, p, reduced)
+
+    for field, p in FIELDS:
+        pivots, _ = oracle_rref(dense_rows(m), m.ncols, p)
+        got = pivot_columns(m, field)
+        assert sorted(got) == pivots
+        assert rank(m, field) == len(got)
+        with mock.patch.object(linalg, "_eliminated", fallback_only):
+            assert sorted(pivot_columns(m, field)) == pivots
 
 
 def test_fallbacks_move_the_field_dependence_counter():
