@@ -14,15 +14,15 @@ from .facevectors import (FaceVectors, f_from_h, f_vector, h_from_f,
                           reduced_euler_characteristic, short_simplicial_h)
 from .families import (ConstructionError, Fixture, UnknownFixtureError,
                        connected_sum, cross_polytope, fixture, fixture_names,
-                       multi_point_join, multi_point_join_colored, named,
-                       prefix_relabel, simplex, simplex_boundary,
-                       skeleton_join_sphere, stacked_cross_polytopal_sphere)
+                       multi_point_join_colored, named, prefix_relabel,
+                       simplex, simplex_boundary, skeleton_join_sphere,
+                       stacked_cross_polytopal_sphere)
 from .files import ComplexFile, ComplexFileError, emit, emit_text, parse, parse_text
 from .homology import (BettiVector, clear_caches, pair_restriction_surjective,
                        reduced_betti, relative_betti_vector,
                        top_restriction_surjective)
-from .linalg import (GF, GF2, GF3, QQ, CoefficientField, InvariantError,
-                     Matrix, ShapeError, kernel_basis, rank)
+from .linalg import (GF2, GF3, QQ, CoefficientField, InvariantError, Matrix,
+                     ShapeError, kernel_basis, rank)
 from .properties import (UNKNOWN, Coloring, ColoringError, PropertyReport,
                          Witness, find_balanced_coloring, is_buchsbaum,
                          is_buchsbaum_star, is_cohen_macaulay,

@@ -56,13 +56,9 @@ def cross_polytope(d: int):
     return build(itertools.product(*pairs)), coloring
 
 
-def multi_point_join(q: int, d: int) -> Complex:
-    """d-fold join of q disjoint vertices: q*d vertices, q^d facets."""
-    return multi_point_join_colored(q, d)[0]
-
-
 def multi_point_join_colored(q: int, d: int):
-    """Multi-point join together with its coloring by join factor."""
+    """d-fold join of q disjoint vertices (q*d vertices, q^d facets)
+    together with its coloring by join factor."""
     if q < 1 or d < 1:
         raise ConstructionError("multi-point join needs q >= 1 and d >= 1")
     factors = [[f"c{c}p{i}" for i in range(q)] for c in range(1, d + 1)]

@@ -76,9 +76,9 @@ from contextlib import suppress
 from itertools import islice
 
 from .complexes import Complex, NotPureError, Record, index_faces
-from .linalg import (CoefficientField, InvariantError, Matrix,
+from .linalg import (QQ, CoefficientField, InvariantError, Matrix,
                      _depends_on_field, _field_dependence, kernel_basis,
-                     pivot_columns, rank)
+                     pivot_columns, product_is_zero, rank)
 
 CACHE_LIMIT = 1 << 16
 _cache: dict = {}
@@ -182,7 +182,9 @@ def _chain_data(c: Complex):
     are the rows of the face table of c, so boundaries[j] maps degree-j
     chains to degree-(j-1) chains in the order of ``c.faces_of_dim``.
     Each boundary is built as its rows: dropping the k-th vertex of a face
-    gives the row, found by its mask, of the sign (-1)^k."""
+    gives the row, found by its mask, of the sign (-1)^k.  Every product
+    of two adjacent boundaries is checked to vanish over the integers,
+    which the clearing in :func:`_relative_data` rests on."""
     bases = c.face_table()
     bit = [1 << i for i in range(c.n_vertices)]
     masks = tuple(tuple(sum(map(bit.__getitem__, face)) for face in basis)
@@ -203,7 +205,7 @@ def _chain_data(c: Complex):
         boundaries.append(Matrix._of_rows(len(bases[degree]),
                                           len(bases[degree + 1]), rows))
     for j in range(1, len(boundaries)):
-        if not boundaries[j - 1].matmul(boundaries[j]).is_zero:
+        if not product_is_zero(boundaries[j - 1], boundaries[j], QQ):
             raise InvariantError(f"boundary of boundary is not zero in degree {j}")
     return tuple(boundaries), masks
 
@@ -345,11 +347,10 @@ def _source_cycles(c: Complex, s: int, field: CoefficientField) -> Matrix:
     :func:`kernel_basis`, rows keyed by facet basis index.  The ridges and
     facets containing a non-empty face come from :func:`_stars`."""
     top = _chain_data(c)[0][-1]
-    if s:
-        star = _stars(c)[s]
-        ridges, cols = star.get(c.dim - 1, ()), star[c.dim]
-    else:
-        ridges, cols = range(top.nrows), range(top.ncols)
+    if not s:
+        return kernel_basis(top, field)
+    star = _stars(c)[s]
+    ridges, cols = star.get(c.dim - 1, ()), star[c.dim]
     k = kernel_basis(top.submatrix(ridges, cols), field)
     return Matrix._of_rows(top.ncols, k.ncols,
                            {cols[i]: row for i, row in k.rows.items()})

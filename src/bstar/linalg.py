@@ -7,7 +7,9 @@ F_p.  A rational matrix has the rank and kernel of its rows scaled to
 integers.  There is no floating point anywhere.  A matrix is stored as
 the rows the elimination uses, {row: {column: int}}, so take_rows shares
 them and they reach the elimination uncopied; the elimination never
-mutates them.
+mutates them.  A Matrix only holds and selects entries; the arithmetic is
+four functions: :func:`rank`, :func:`pivot_columns`, :func:`kernel_basis`
+and :func:`product_is_zero`.
 
 One sparse elimination routine, :func:`_eliminated`, serves rank and
 kernel_basis.  It works on rows stored as {column: int} over a modulus.
@@ -109,10 +111,6 @@ GF2 = CoefficientField.prime(2)
 GF3 = CoefficientField.prime(3)
 
 
-def GF(p: int) -> CoefficientField:
-    return CoefficientField.prime(p)
-
-
 class _Entries(Mapping):
     """Read-only {(i, j): v} view of a matrix's rows; its length costs one
     len per row, not a copy of every entry."""
@@ -189,28 +187,9 @@ class Matrix:
         """The non-zero entries as a read-only {(i, j): v} mapping."""
         return _Entries(self.rows)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
-
     def __getitem__(self, key):
         i, j = key
         return self.rows.get(i, {}).get(j, 0)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        """Exact product over the integers (no field reduction)."""
-        if self.ncols != other.nrows:
-            raise ShapeError(f"{self.ncols} cols vs {other.nrows} rows")
-        out = {}
-        for i, row in self.rows.items():
-            acc: dict = {}
-            for k, v in row.items():
-                for j, w in other.rows.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + v * w
-            acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                out[i] = acc
-        return Matrix._of_rows(self.nrows, other.ncols, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         cpos = {c: j for j, c in enumerate(col_idx)}
@@ -227,9 +206,6 @@ class Matrix:
         rows = self.rows
         out = {i: rows[r] for i, r in enumerate(row_idx) if r in rows}
         return Matrix._of_rows(len(row_idx), self.ncols, out)
-
-    def column(self, j: int) -> list:
-        return [self[i, j] for i in range(self.nrows)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -417,7 +393,19 @@ def kernel_basis(m: Matrix, field: CoefficientField) -> Matrix:
 
 def product_is_zero(a: Matrix, b: Matrix, field: CoefficientField) -> bool:
     """Whether a*b vanishes over the field: every entry of the integer
-    product (:meth:`Matrix.matmul`) is zero, or over F_p zero mod p."""
+    product is zero, or over F_p zero mod p.  The product is formed one
+    row at a time and never kept; the first row with an entry that is
+    non-zero in the field answers False."""
+    if a.ncols != b.nrows:
+        raise ShapeError(f"{a.ncols} cols vs {b.nrows} rows")
     p = field.p
-    return not any(v % p if p else v
-                   for row in a.matmul(b).rows.values() for v in row.values())
+    b_rows = b.rows
+    for row in a.rows.values():
+        acc: dict = {}
+        for k, v in row.items():
+            for j, w in b_rows.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + v * w
+        values = acc.values()
+        if any(v % p for v in values) if p else any(values):
+            return False
+    return True

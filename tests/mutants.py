@@ -168,6 +168,16 @@ MUTANTS = {
          PROPERTIES
          + "test_subdivided_projective_plane_is_buchsbaum_star_over_f2_only"),
     ),
+    "product_is_zero never reports a non-zero row": (
+        "linalg.py",
+        """            return False
+    return True""",
+        """            pass
+    return True""",
+        (HOMOLOGY + "test_boundary_check_raises_on_corrupted_sign",
+         LINALG + "test_product_is_zero_over_fields",
+         LINALG + "test_kernel_basis_checks_annihilation"),
+    ),
     "Matrix accepts entries that are not ints": (
         "linalg.py",
         """                if type(v) is not int:

@@ -8,7 +8,7 @@ from bstar import (QQ, ComplexError, FaceNotPresentError,
                    LabelCollisionError, MalformedFaceError,
                    UnknownVertexError, as_face, build, cross_polytope,
                    f_vector, is_buchsbaum_star, is_cohen_macaulay,
-                   multi_point_join, named, reduced_betti, simplex,
+                   multi_point_join_colored, named, reduced_betti, simplex,
                    simplex_boundary)
 from bstar.homology import _chain_data
 
@@ -151,7 +151,7 @@ def test_delete_octahedron_vertex(octahedron):
 
 
 def test_delete_k33_side_vertex():
-    k33 = multi_point_join(3, 2)
+    k33 = multi_point_join_colored(3, 2)[0]
     c = k33.delete(("c1p0",))
     assert c.n_vertices == 5
     assert len(c.faces_of_dim(1)) == 6  # K_{2,3}

@@ -16,8 +16,8 @@ from oracles import check_frozen_record, oracle_h_vector
 def test_f_vector_examples(octahedron):
     assert f_vector(octahedron) == (1, 6, 12, 8)
     assert f_vector(simplex_boundary(3)) == (1, 4, 6, 4)
-    from bstar import multi_point_join
-    assert f_vector(multi_point_join(3, 2)) == (1, 6, 9)
+    from bstar import multi_point_join_colored
+    assert f_vector(multi_point_join_colored(3, 2)[0]) == (1, 6, 9)
 
 
 def test_h_vector_examples(octahedron):
@@ -47,8 +47,8 @@ def test_h_prime_examples(octahedron):
     two_triangles = build([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
     assert h_vector(two_triangles) == (1, 4, 1)
     assert h_prime_vector(two_triangles, QQ) == (1, 4, 2)
-    from bstar import multi_point_join
-    k33 = multi_point_join(3, 2)
+    from bstar import multi_point_join_colored
+    k33 = multi_point_join_colored(3, 2)[0]
     assert h_prime_vector(k33, QQ) == (1, 4, 4)
     assert h_prime_vector(k33, GF2) == (1, 4, 4)
 

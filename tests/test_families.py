@@ -3,9 +3,8 @@ import pytest
 from bstar import (GF2, QQ, Coloring, ConstructionError, LabelCollisionError,
                    UnknownFixtureError, build, connected_sum, cross_polytope,
                    f_vector, fixture, fixture_names, h_vector, is_buchsbaum,
-                   is_buchsbaum_star, multi_point_join,
-                   multi_point_join_colored, named, prefix_relabel,
-                   reduced_betti, simplex, simplex_boundary,
+                   is_buchsbaum_star, multi_point_join_colored, named,
+                   prefix_relabel, reduced_betti, simplex, simplex_boundary,
                    skeleton_join_sphere, stacked_cross_polytopal_sphere)
 
 from oracles import check_frozen_record, oracle_betti, oracle_components
@@ -34,7 +33,7 @@ def test_cross_polytope():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_cross_polytope_is_two_point_join(d):
     cx, _ = cross_polytope(d)
-    mp = multi_point_join(2, d)
+    mp = multi_point_join_colored(2, d)[0]
     mapping = {}
     for c in range(1, d + 1):
         mapping[f"x{c}"] = f"c{c}p0"
@@ -158,7 +157,7 @@ def test_scps_byte_stable():
 
 
 def test_multi_point_join():
-    p23 = multi_point_join(2, 3)
+    p23 = multi_point_join_colored(2, 3)[0]
     octa, _ = cross_polytope(3)
     assert f_vector(p23) == f_vector(octa)
     p33, coloring = multi_point_join_colored(3, 3)
@@ -178,7 +177,7 @@ def test_skeleton_join_sphere_special_cases():
     assert s == direct
     # S(m, 1, d-1) is the multi-point join P(m, d)
     s312 = skeleton_join_sphere(3, 1, 2)
-    p32 = multi_point_join(3, 2)
+    p32 = multi_point_join_colored(3, 2)[0]
     mapping = {f"f{t}v{k}": f"c{t}p{k}" for t in (1, 2) for k in range(3)}
     assert s312.relabel(mapping) == p32
     with pytest.raises(ConstructionError):

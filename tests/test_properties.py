@@ -8,7 +8,7 @@ from bstar import (GF2, QQ, UNKNOWN, Coloring, ColoringError, NotPureError,
                    build, find_balanced_coloring,
                    is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
                    is_doubly_buchsbaum, is_homology_manifold,
-                   is_m_buchsbaum_star, is_m_cm, multi_point_join,
+                   is_m_buchsbaum_star, is_m_cm, multi_point_join_colored,
                    named, random_balanced_complex, random_pure_complex,
                    rank_selected, revalidate_witness, simplex,
                    simplex_boundary, stacked_cross_polytopal_sphere)
@@ -38,7 +38,7 @@ def test_cm_disconnected_fails_with_witness():
 
 def test_m_cm_examples(octahedron):
     assert is_m_cm(octahedron, 2, QQ).verdict
-    assert is_m_cm(multi_point_join(3, 2), 3, QQ).verdict
+    assert is_m_cm(multi_point_join_colored(3, 2)[0], 3, QQ).verdict
     tri = simplex_boundary(2)
     assert is_m_cm(tri, 2, QQ).verdict
     # deleting two of the three vertices leaves a point: the dimension
@@ -94,7 +94,7 @@ def test_buchsbaum_star_path_fails_at_interior_vertex():
 
 
 def test_m_buchsbaum_star(octahedron):
-    k33 = multi_point_join(3, 2)
+    k33 = multi_point_join_colored(3, 2)[0]
     assert is_m_buchsbaum_star(k33, 2, QQ).verdict
     assert is_m_buchsbaum_star(octahedron, 1, QQ).verdict
     rep = is_m_buchsbaum_star(octahedron, 2, QQ)
@@ -106,7 +106,7 @@ def test_m_buchsbaum_star(octahedron):
 
 
 def test_p33_is_2_buchsbaum_star():
-    p33 = multi_point_join(3, 3)
+    p33 = multi_point_join_colored(3, 3)[0]
     for f in (QQ, GF2):
         assert is_m_buchsbaum_star(p33, 2, f).verdict
 
@@ -138,7 +138,7 @@ def test_find_balanced_coloring(octahedron):
     assert sorted(map(sorted, classes.values())) == \
         [["x1", "y1"], ["x2", "y2"], ["x3", "y3"]]
     assert find_balanced_coloring(simplex_boundary(2)) is None
-    k33 = multi_point_join(3, 2)
+    k33 = multi_point_join_colored(3, 2)[0]
     assert find_balanced_coloring(k33) is not None
     assert find_balanced_coloring(octahedron, max_nodes=2) is UNKNOWN
     assert not UNKNOWN  # falsy sentinel
@@ -231,14 +231,15 @@ def test_coloring_validation(octahedron_colored):
 
 
 def test_two_cm_implies_buchsbaum_star_on_small_members(octahedron):
-    for c in (octahedron, multi_point_join(3, 2), simplex_boundary(3)):
+    k33 = multi_point_join_colored(3, 2)[0]
+    for c in (octahedron, k33, simplex_boundary(3)):
         for f in (QQ, GF2):
             if is_m_cm(c, 2, f).verdict:
                 assert is_buchsbaum_star(c, f).verdict
 
 
 def test_three_cm_implies_2_buchsbaum_star():
-    k33 = multi_point_join(3, 2)
+    k33 = multi_point_join_colored(3, 2)[0]
     assert is_m_cm(k33, 3, QQ).verdict
     assert is_m_buchsbaum_star(k33, 2, QQ).verdict
 

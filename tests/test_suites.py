@@ -8,7 +8,7 @@ import pytest
 
 import bstar
 import bstar.cli
-from bstar import (GF, GF2, GF3, QQ, InfeasibleParameterError,
+from bstar import (GF2, GF3, QQ, CoefficientField, InfeasibleParameterError,
                    UnknownSuiteError, __version__, build, clear_caches,
                    corpus, explore_question, random_balanced_complex,
                    random_pure_complex, run_suite, suite_names)
@@ -234,7 +234,7 @@ def test_orientability_runs_the_fields_it_is_given():
     only_q = run_suite("orientability-rp2", fields=(QQ,))
     assert only_q.fields == ("Q",) and only_q.passed
     assert {c.field for c in only_q.cases} == {"Q"}
-    f5 = run_suite("orientability-rp2", fields=(GF(5),))
+    f5 = run_suite("orientability-rp2", fields=(CoefficientField.prime(5),))
     assert f5.passed and {c.field for c in f5.cases} == {"Q", "F5"}
     assert [(c.expected, c.got) for c in f5.cases
             if c.prop == "buchsbaum_star"] == [("False", "False")]
